@@ -39,6 +39,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const GRID: usize = 256;
+/// `--check` fails when the `dp_milp` lane needs more simplex pivots per
+/// branch-and-bound node than this.
+const DP_PIVOTS_PER_NODE_CEILING: f64 = 30.0;
 
 /// A deterministic permutation of `0..n` (multiplicative-LCG Fisher–Yates).
 fn lcg_permutation(n: usize, seed: u64) -> Vec<usize> {
@@ -497,6 +500,41 @@ fn main() {
         });
     }
 
+    // --- dp_milp: one ePlace-A detailed-placement ILP (VCO2, x axis, ---
+    // --- first round, as DetailedPlacer builds it) solved by the ------
+    // --- warm-started branch and bound under the shipping options, ----
+    // --- vs a cold root-LP solve paid at every one of its nodes (what --
+    // --- each node cost before warm starts). Pivots per node are a -----
+    // --- machine-independent count, gated by an absolute ceiling. ------
+    let dp_pivots_per_node;
+    {
+        use eplace::{DetailedConfig, DetailedPlacer, GlobalConfig, GlobalPlacer};
+
+        let circuit = testcases::vco2();
+        let global = GlobalPlacer::new(GlobalConfig::default()).run(&circuit).0;
+        let config = DetailedConfig::default();
+        let [model, _] = DetailedPlacer::new(config.clone()).axis_models(&circuit, &global);
+        let (solved, work) = model.solve_milp_counted(&config.milp);
+        solved.expect("VCO2 x-axis ILP solves");
+        dp_pivots_per_node = work.pivots as f64 / work.nodes as f64;
+        let after = time_median(samples, || {
+            std::hint::black_box(model.solve_milp(&config.milp).expect("solves"));
+        });
+        let cold_lp = time_median(samples, || {
+            std::hint::black_box(model.solve_lp().expect("root LP solves"));
+        });
+        rows.push(BenchRow {
+            name: "dp_milp".to_string(),
+            detail: format!(
+                "vco2 x axis, {} nodes, {dp_pivots_per_node:.1} pivots/node, {:.0} ns/node, cold LP per node vs warm B&B",
+                work.nodes,
+                after * 1e9 / work.nodes as f64
+            ),
+            before_ms: cold_lp * work.nodes as f64 * 1e3,
+            after_ms: after * 1e3,
+        });
+    }
+
     // --- gnn_forward: CSR scratch-reusing inference vs the dense seed. ---
     // At paper-testcase sizes (≤32 nodes, ≈30% dense Â) both legs are
     // tanh-bound; 512 nodes (≈2.6% dense) is where the O(n²) adjacency
@@ -933,6 +971,20 @@ fn main() {
                 println!("check: {lane} lane missing from current run");
                 failed = true;
             }
+        }
+        // Pivot counts do not depend on the host, so this ceiling is
+        // absolute: warm-started nodes must stay a handful of pivots each.
+        if dp_pivots_per_node > DP_PIVOTS_PER_NODE_CEILING {
+            println!(
+                "check: dp_milp above its {DP_PIVOTS_PER_NODE_CEILING} pivots/node ceiling — \
+                 measured {dp_pivots_per_node:.1}"
+            );
+            failed = true;
+        } else {
+            println!(
+                "check: dp_milp ok ({dp_pivots_per_node:.1} pivots/node vs \
+                 {DP_PIVOTS_PER_NODE_CEILING} ceiling)"
+            );
         }
         if failed {
             std::process::exit(1);

@@ -178,10 +178,11 @@ impl DetailedPlacer {
         seps_x: &[SepEdge],
         seps_y: &[SepEdge],
     ) -> Result<Placement, PlaceError> {
-        // Try a tight chip bound first (fast LPs); relax on infeasibility.
+        // Try a tight chip bound first (fast LPs); relax when the tight
+        // model is infeasible or its search could not prove otherwise.
         let solve = |axis: SolveAxis, seps: &[SepEdge]| -> Result<AxisSolution, PlaceError> {
             match self.solve_axis(circuit, axis, seps, false) {
-                Err(PlaceError::Solve(SolveError::Infeasible)) => {
+                Err(PlaceError::Solve(SolveError::Infeasible | SolveError::IterationLimit)) => {
                     self.solve_axis(circuit, axis, seps, true)
                 }
                 other => other,
@@ -203,6 +204,20 @@ impl DetailedPlacer {
         Ok(placement)
     }
 
+    /// The first cutting-plane round's ILPs, x axis then y, exactly as
+    /// [`run`](Self::run) builds them from `global` (tight chip bound).
+    /// Exposed for benchmarks and offline inspection of the MILP.
+    pub fn axis_models(&self, circuit: &Circuit, global: &Placement) -> [Model; 2] {
+        let mut planner = SeparationPlanner::new(circuit);
+        planner.extend_from(circuit, global);
+        [
+            self.axis_model(circuit, SolveAxis::X, planner.x_edges(), false)
+                .model,
+            self.axis_model(circuit, SolveAxis::Y, planner.y_edges(), false)
+                .model,
+        ]
+    }
+
     /// Builds and solves the ILP for one axis.
     fn solve_axis(
         &self,
@@ -211,6 +226,46 @@ impl DetailedPlacer {
         seps: &[SepEdge],
         relaxed_ub: bool,
     ) -> Result<AxisSolution, PlaceError> {
+        let AxisModel { model, xs, flips } = self.axis_model(circuit, axis, seps, relaxed_ub);
+        let solution = match model.solve_milp(&self.config.milp) {
+            Ok(s) => s,
+            Err(e) => {
+                if placer_telemetry::verbose(1) {
+                    if let Ok((total, rows)) = model.diagnose_infeasibility() {
+                        placer_telemetry::vlog!(
+                            1,
+                            "dp axis infeasibility {total:.4}; violated rows: {rows:?}"
+                        );
+                    }
+                }
+                // DP_DUMP names a file to receive the model for offline
+                // inspection; it is a dump facility, not a print gate.
+                if let Some(path) = std::env::var_os("DP_DUMP") {
+                    let _ = std::fs::write(path, model.dump());
+                }
+                return Err(e.into());
+            }
+        };
+        let step = self.config.grid_step;
+        let coords: Vec<f64> = xs.iter().map(|&x| solution.value(x) * step).collect();
+        let flip_vals: Vec<bool> = flips
+            .iter()
+            .map(|f| f.map(|v| solution.value(v) > 0.5).unwrap_or(false))
+            .collect();
+        Ok(AxisSolution {
+            coords,
+            flips: flip_vals,
+        })
+    }
+
+    /// Builds the ILP for one axis.
+    fn axis_model(
+        &self,
+        circuit: &Circuit,
+        axis: SolveAxis,
+        seps: &[SepEdge],
+        relaxed_ub: bool,
+    ) -> AxisModel {
         let cfg = &self.config;
         let n = circuit.num_devices();
         let step = cfg.grid_step;
@@ -277,8 +332,7 @@ impl DetailedPlacer {
         let mut model = Model::new();
         // Device coordinates (integer grid), domains tightened by presolve.
         // Upper bounds are left open: the chip row `x + tail ≤ chip ≤ ub`
-        // already implies them, and explicit bounds would become extra
-        // simplex rows.
+        // already implies them.
         let xs: Vec<VarId> = (0..n)
             .map(|i| model.add_int_var(format!("p{i}"), head[i], f64::INFINITY, 0.0))
             .collect();
@@ -318,7 +372,7 @@ impl DetailedPlacer {
             }
             // Objective contribution weight·(hi − lo): cost −w on lo, +w on hi.
             // lo is pushed up by its cost but capped by the pin rows; hi is
-            // pushed down by its cost. Open upper bounds avoid bound rows.
+            // pushed down by its cost; the pin rows bound both.
             let lo = model.add_var(format!("lo_{}", net.name), 0.0, f64::INFINITY, -net.weight);
             let hi = model.add_var(format!("hi_{}", net.name), 0.0, f64::INFINITY, net.weight);
             for pin in &net.pins {
@@ -407,35 +461,15 @@ impl DetailedPlacer {
             }
         }
 
-        let solution = match model.solve_milp(&cfg.milp) {
-            Ok(s) => s,
-            Err(e) => {
-                if placer_telemetry::verbose(1) {
-                    if let Ok((total, rows)) = model.diagnose_infeasibility() {
-                        placer_telemetry::vlog!(
-                            1,
-                            "dp axis infeasibility {total:.4}; violated rows: {rows:?}"
-                        );
-                    }
-                }
-                // DP_DUMP names a file to receive the model for offline
-                // inspection; it is a dump facility, not a print gate.
-                if let Some(path) = std::env::var_os("DP_DUMP") {
-                    let _ = std::fs::write(path, model.dump());
-                }
-                return Err(e.into());
-            }
-        };
-        let coords: Vec<f64> = xs.iter().map(|&x| solution.value(x) * step).collect();
-        let flip_vals: Vec<bool> = flips
-            .iter()
-            .map(|f| f.map(|v| solution.value(v) > 0.5).unwrap_or(false))
-            .collect();
-        Ok(AxisSolution {
-            coords,
-            flips: flip_vals,
-        })
+        AxisModel { model, xs, flips }
     }
+}
+
+/// One axis' ILP with its coordinate and flip variables.
+struct AxisModel {
+    model: Model,
+    xs: Vec<VarId>,
+    flips: Vec<Option<VarId>>,
 }
 
 /// One axis' solved coordinates (µm) and flips.

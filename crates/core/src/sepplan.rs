@@ -15,7 +15,10 @@
 //! devices tied by equalities are merged into per-axis clusters, separations
 //! are directed edges between clusters in a DAG (edges are only added when
 //! no opposite path exists), ordering chains seed the DAG, and same-group
-//! edges propagate their mirror image.
+//! edges propagate their mirror image. Every edge also enters the DAG
+//! reflected through each symmetry axis of its direction, so a chain that
+//! orders two group members through a non-member (which implies the
+//! mirrored order of their partners) is checked against the rest.
 
 use std::collections::HashMap;
 
@@ -56,8 +59,14 @@ impl UnionFind {
 #[derive(Debug, Clone)]
 struct AxisPlan {
     clusters: UnionFind,
-    /// Cluster-level adjacency: edges `u → v` meaning u's devices end
-    /// before v's start. Device-level edges retained for emission.
+    /// Per symmetry group acting on this axis (`x_a + x_a' = 2m`), each
+    /// device's mirror partner: itself when self-symmetric, `None` when
+    /// not a member.
+    mirrors: Vec<Vec<Option<DeviceId>>>,
+    /// Node-level adjacency: edges `u → v` meaning u ends before v starts.
+    /// Nodes `0..n` are cluster roots; node `n·(g+1) + c` is cluster `c`
+    /// reflected through group `g`'s axis (`2m − x`), for non-members.
+    /// Device-level edges retained for emission.
     adj: HashMap<usize, Vec<usize>>,
     edges: Vec<SepEdge>,
 }
@@ -66,8 +75,18 @@ impl AxisPlan {
     fn new(n: usize) -> Self {
         Self {
             clusters: UnionFind::new(n),
+            mirrors: Vec::new(),
             adj: HashMap::new(),
             edges: Vec::new(),
+        }
+    }
+
+    /// The node standing for group `g`'s reflection of `d`: the partner's
+    /// cluster for members, a per-group copy of `d`'s cluster otherwise.
+    fn reflection(&mut self, d: DeviceId, g: usize) -> usize {
+        match self.mirrors[g][d.index()] {
+            Some(p) => self.clusters.find(p.index()),
+            None => self.mirrors[g].len() * (g + 1) + self.clusters.find(d.index()),
         }
     }
 
@@ -97,40 +116,62 @@ impl AxisPlan {
         false
     }
 
-    /// Adds a device-level edge if the cluster-level DAG allows it.
-    /// Returns `true` when the edge (or an equivalent path) now exists.
-    fn add_edge(&mut self, a: DeviceId, b: DeviceId) -> bool {
-        let (ca, cb) = (self.cluster(a), self.cluster(b));
-        if ca == cb {
-            return false; // same cluster: cannot separate on this axis
+    /// Adds the separation `a → b` and, when both are members of one
+    /// symmetry group, its mirror image `b' → a'`: a logical consequence
+    /// of `x_a + x_a' = 2m`, emitted so its own gap becomes a row too.
+    /// Returns success (see [`add_edges`](Self::add_edges)).
+    fn add_separation(&mut self, a: DeviceId, b: DeviceId) -> bool {
+        let mirrored = self
+            .mirrors
+            .iter()
+            .find_map(|m| match (m[a.index()], m[b.index()]) {
+                (Some(ma), Some(mb)) if (mb, ma) != (a, b) => Some((mb, ma)),
+                _ => None,
+            });
+        match mirrored {
+            Some(m) => self.add_edges(&[(a, b), m]),
+            None => self.add_edges(&[(a, b)]),
         }
-        if self.has_path(ca, cb) {
-            // Already implied; still emit the device edge for tightness.
-            if !self.edges.contains(&(a, b)) {
-                self.edges.push((a, b));
-            }
-            return true;
-        }
-        if self.has_path(cb, ca) {
-            return false; // opposite direction already forced
-        }
-        self.adj.entry(ca).or_default().push(cb);
-        self.edges.push((a, b));
-        true
     }
 
-    /// Undoes the most recent successful [`add_edge`](Self::add_edge) call
-    /// for exactly this device pair (used for transactional mirror adds).
-    fn rollback_edge(&mut self, a: DeviceId, b: DeviceId) {
-        if self.edges.last() == Some(&(a, b)) {
-            self.edges.pop();
-            let (ca, cb) = (self.cluster(a), self.cluster(b));
-            if let Some(list) = self.adj.get_mut(&ca) {
-                if let Some(pos) = list.iter().rposition(|&v| v == cb) {
-                    list.remove(pos);
-                }
+    /// Adds device-level edges `a → b` as one transaction, each with its
+    /// reflection through every symmetry axis of this plan (`x_a < x_b`
+    /// ⇔ `2m − x_b < 2m − x_a`). Returns `true` when all of them (or
+    /// equivalent paths) now exist; refuses, adding nothing, when one
+    /// would close a cycle (the same cluster, or the opposite direction
+    /// already forced), i.e. contradict the equalities.
+    fn add_edges(&mut self, pairs: &[SepEdge]) -> bool {
+        let mut dag = Vec::new();
+        for &(a, b) in pairs {
+            dag.push((self.cluster(a), self.cluster(b)));
+            for g in 0..self.mirrors.len() {
+                let (ra, rb) = (self.reflection(a, g), self.reflection(b, g));
+                dag.push((rb, ra));
             }
         }
+        let mut added: Vec<(usize, usize)> = Vec::new();
+        for (u, v) in dag {
+            if self.has_path(v, u) {
+                for (u, v) in added.into_iter().rev() {
+                    let list = self.adj.get_mut(&u).expect("added above");
+                    let pos = list.iter().rposition(|&w| w == v).expect("added above");
+                    list.remove(pos);
+                }
+                return false;
+            }
+            // An existing path already implies the edge; the device edge
+            // is still emitted below for tightness.
+            if !self.has_path(u, v) {
+                self.adj.entry(u).or_default().push(v);
+                added.push((u, v));
+            }
+        }
+        for &e in pairs {
+            if !self.edges.contains(&e) {
+                self.edges.push(e);
+            }
+        }
+        true
     }
 
     /// Whether the pair is already forced apart (a path exists either way).
@@ -141,6 +182,24 @@ impl AxisPlan {
         let (ca, cb) = (self.cluster(a), self.cluster(b));
         ca != cb && (self.has_path(ca, cb) || self.has_path(cb, ca))
     }
+}
+
+/// Mirror partner of every device in one symmetry group (see
+/// [`AxisPlan::mirrors`]).
+fn group_mirrors(
+    n: usize,
+    pairs: &[(DeviceId, DeviceId)],
+    selfs: &[DeviceId],
+) -> Vec<Option<DeviceId>> {
+    let mut mirror = vec![None; n];
+    for &(a, b) in pairs {
+        mirror[a.index()] = Some(b);
+        mirror[b.index()] = Some(a);
+    }
+    for &s in selfs {
+        mirror[s.index()] = Some(s);
+    }
+    mirror
 }
 
 /// Plans separation constraints that are consistent with a circuit's
@@ -165,14 +224,6 @@ impl AxisPlan {
 pub struct SeparationPlanner {
     x: AxisPlan,
     y: AxisPlan,
-    /// Mirror partner within a vertical symmetry group (selfs map to
-    /// themselves), used for x-edge propagation.
-    v_mirror: Vec<Option<DeviceId>>,
-    /// Group id of each device in a vertical group.
-    v_group: Vec<Option<usize>>,
-    /// Same for horizontal groups (y-edge propagation).
-    h_mirror: Vec<Option<DeviceId>>,
-    h_group: Vec<Option<usize>>,
 }
 
 impl SeparationPlanner {
@@ -182,50 +233,23 @@ impl SeparationPlanner {
         let n = circuit.num_devices();
         let mut x = AxisPlan::new(n);
         let mut y = AxisPlan::new(n);
-        let mut v_mirror = vec![None; n];
-        let mut v_group = vec![None; n];
-        let mut h_mirror = vec![None; n];
-        let mut h_group = vec![None; n];
-
-        for (gi, g) in circuit.constraints().symmetry_groups.iter().enumerate() {
-            match g.axis {
-                Axis::Vertical => {
-                    for &(a, b) in &g.pairs {
-                        y.clusters.union(a.index(), b.index());
-                        v_mirror[a.index()] = Some(b);
-                        v_mirror[b.index()] = Some(a);
-                        v_group[a.index()] = Some(gi);
-                        v_group[b.index()] = Some(gi);
-                    }
-                    let mut prev: Option<DeviceId> = None;
-                    for &s in &g.self_symmetric {
-                        v_mirror[s.index()] = Some(s);
-                        v_group[s.index()] = Some(gi);
-                        // Self-symmetric devices share x (= the axis).
-                        if let Some(p) = prev {
-                            x.clusters.union(p.index(), s.index());
-                        }
-                        prev = Some(s);
-                    }
-                }
-                Axis::Horizontal => {
-                    for &(a, b) in &g.pairs {
-                        x.clusters.union(a.index(), b.index());
-                        h_mirror[a.index()] = Some(b);
-                        h_mirror[b.index()] = Some(a);
-                        h_group[a.index()] = Some(gi);
-                        h_group[b.index()] = Some(gi);
-                    }
-                    let mut prev: Option<DeviceId> = None;
-                    for &s in &g.self_symmetric {
-                        h_mirror[s.index()] = Some(s);
-                        h_group[s.index()] = Some(gi);
-                        if let Some(p) = prev {
-                            y.clusters.union(p.index(), s.index());
-                        }
-                        prev = Some(s);
-                    }
-                }
+        for g in &circuit.constraints().symmetry_groups {
+            // A vertical axis mirrors x and ties each pair's y; a
+            // horizontal one the other way round.
+            let (mirrored, tied) = match g.axis {
+                Axis::Vertical => (&mut x, &mut y),
+                Axis::Horizontal => (&mut y, &mut x),
+            };
+            mirrored
+                .mirrors
+                .push(group_mirrors(n, &g.pairs, &g.self_symmetric));
+            for &(a, b) in &g.pairs {
+                tied.clusters.union(a.index(), b.index());
+            }
+            // Self-symmetric devices share the mirrored coordinate (= the
+            // axis).
+            for w in g.self_symmetric.windows(2) {
+                mirrored.clusters.union(w[0].index(), w[1].index());
             }
         }
         for al in &circuit.constraints().alignments {
@@ -234,87 +258,20 @@ impl SeparationPlanner {
                 AlignKind::VerticalCenter => x.clusters.union(al.a.index(), al.b.index()),
             }
         }
-        let mut planner = Self {
-            x,
-            y,
-            v_mirror,
-            v_group,
-            h_mirror,
-            h_group,
-        };
+        let mut planner = Self { x, y };
         for o in &circuit.constraints().orderings {
             for w in o.devices.windows(2) {
                 match o.direction {
                     OrderDirection::Horizontal => {
-                        planner.add_x_edge(w[0], w[1]);
+                        planner.x.add_separation(w[0], w[1]);
                     }
                     OrderDirection::Vertical => {
-                        planner.add_y_edge(w[0], w[1]);
+                        planner.y.add_separation(w[0], w[1]);
                     }
                 }
             }
         }
         planner
-    }
-
-    /// Adds an x-edge with mirror propagation. Returns success.
-    fn add_x_edge(&mut self, a: DeviceId, b: DeviceId) -> bool {
-        // Mirror image first (checking feasibility of the combined add).
-        let mirrored = match (self.v_group[a.index()], self.v_group[b.index()]) {
-            (Some(ga), Some(gb)) if ga == gb => {
-                let (ma, mb) = (
-                    self.v_mirror[a.index()].unwrap_or(a),
-                    self.v_mirror[b.index()].unwrap_or(b),
-                );
-                if (mb, ma) != (a, b) && (mb != a || ma != b) {
-                    Some((mb, ma))
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        };
-        if !self.x.add_edge(a, b) {
-            return false;
-        }
-        if let Some((ma, mb)) = mirrored {
-            // The sum constraint x_a + x_a' = 2m makes the mirror edge a
-            // logical consequence; if it cannot be added, the primary edge
-            // must not stand either (transactional).
-            if !self.x.add_edge(ma, mb) {
-                self.x.rollback_edge(a, b);
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Adds a y-edge with mirror propagation (horizontal groups).
-    fn add_y_edge(&mut self, a: DeviceId, b: DeviceId) -> bool {
-        let mirrored = match (self.h_group[a.index()], self.h_group[b.index()]) {
-            (Some(ga), Some(gb)) if ga == gb => {
-                let (ma, mb) = (
-                    self.h_mirror[a.index()].unwrap_or(a),
-                    self.h_mirror[b.index()].unwrap_or(b),
-                );
-                if (mb, ma) != (a, b) && (mb != a || ma != b) {
-                    Some((mb, ma))
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        };
-        if !self.y.add_edge(a, b) {
-            return false;
-        }
-        if let Some((ma, mb)) = mirrored {
-            if !self.y.add_edge(ma, mb) {
-                self.y.rollback_edge(a, b);
-                return false;
-            }
-        }
-        true
     }
 
     /// Derives separations for every overlapping pair of `placement`.
@@ -350,15 +307,15 @@ impl SeparationPlanner {
             };
             if prefer_x {
                 let (l, r) = if xa <= xb { (a, b) } else { (b, a) };
-                let _ = self.add_x_edge(l, r) || self.add_x_edge(r, l) || {
+                let _ = self.x.add_separation(l, r) || self.x.add_separation(r, l) || {
                     let (l, r) = if ya <= yb { (a, b) } else { (b, a) };
-                    self.add_y_edge(l, r) || self.add_y_edge(r, l)
+                    self.y.add_separation(l, r) || self.y.add_separation(r, l)
                 };
             } else {
                 let (l, r) = if ya <= yb { (a, b) } else { (b, a) };
-                let _ = self.add_y_edge(l, r) || self.add_y_edge(r, l) || {
+                let _ = self.y.add_separation(l, r) || self.y.add_separation(r, l) || {
                     let (l, r) = if xa <= xb { (a, b) } else { (b, a) };
-                    self.add_x_edge(l, r) || self.add_x_edge(r, l)
+                    self.x.add_separation(l, r) || self.x.add_separation(r, l)
                 };
             }
         }
@@ -395,15 +352,15 @@ impl SeparationPlanner {
                 };
                 if prefer_x {
                     let (l, r) = if xa <= xb { (a, b) } else { (b, a) };
-                    let _ = self.add_x_edge(l, r) || self.add_x_edge(r, l) || {
+                    let _ = self.x.add_separation(l, r) || self.x.add_separation(r, l) || {
                         let (l, r) = if ya <= yb { (a, b) } else { (b, a) };
-                        self.add_y_edge(l, r) || self.add_y_edge(r, l)
+                        self.y.add_separation(l, r) || self.y.add_separation(r, l)
                     };
                 } else {
                     let (l, r) = if ya <= yb { (a, b) } else { (b, a) };
-                    let _ = self.add_y_edge(l, r) || self.add_y_edge(r, l) || {
+                    let _ = self.y.add_separation(l, r) || self.y.add_separation(r, l) || {
                         let (l, r) = if xa <= xb { (a, b) } else { (b, a) };
-                        self.add_x_edge(l, r) || self.add_x_edge(r, l)
+                        self.x.add_separation(l, r) || self.x.add_separation(r, l)
                     };
                 }
             }
@@ -493,6 +450,21 @@ mod tests {
                 "mirror edge b2->b1 missing"
             );
         }
+    }
+
+    #[test]
+    fn chains_through_non_members_respect_mirror_images() {
+        // CM-OTA1's ordering chain seeds MP1O < MP1D < MP2D, so MP1D sits
+        // left of the core axis. With MINB < MINA (MINA right of the
+        // axis), MINA < MP1O would put MINA left of MP1D: infeasible
+        // through the mirror, though no single edge joins two members.
+        let c = testcases::cm_ota1();
+        let id = |name: &str| c.device_ids().find(|(_, d)| d.name == name).unwrap().0;
+        let mut planner = SeparationPlanner::new(&c);
+        assert!(planner.x.add_separation(id("MINB"), id("MINA")));
+        assert!(!planner.x.add_separation(id("MINA"), id("MP1O")));
+        assert!(planner.x.add_separation(id("MP1O"), id("MINA")));
+        assert!(!planner.x_edges().contains(&(id("MINA"), id("MP1O"))));
     }
 
     #[test]

@@ -1,6 +1,13 @@
-//! Branch-and-bound mixed-integer solver on top of the simplex core.
+//! Branch-and-bound mixed-integer solver on top of the simplex engine.
+//!
+//! Every node re-solves warm: a branch changes one bound, so the parent's
+//! optimal basis stays dual feasible and the dual simplex restores primal
+//! feasibility in a few pivots. The child explored first (depth first)
+//! continues on the live engine; its sibling carries a snapshot of the
+//! parent's state. The search reads no clock: `max_nodes` is its only
+//! work limit, so the result is a function of the model and the options.
 
-use crate::simplex::solve_lp_with_bounds;
+use crate::simplex::{LpEngine, LpState};
 use crate::{Model, Solution, SolveError};
 
 /// Branch-and-bound nodes popped off the stack across all MILP solves.
@@ -13,7 +20,7 @@ const INT_TOL: f64 = 1e-6;
 /// Options controlling branch and bound.
 #[derive(Debug, Clone)]
 pub struct MilpOptions {
-    /// Maximum number of explored nodes.
+    /// Maximum number of explored nodes: the search's only work limit.
     pub max_nodes: usize,
     /// Stop early once the incumbent is within this absolute gap of the
     /// best bound.
@@ -21,8 +28,6 @@ pub struct MilpOptions {
     /// Prune nodes whose bound is within this *fraction* of the incumbent
     /// (accepting slightly suboptimal solutions for large speedups).
     pub relative_gap: f64,
-    /// Optional wall-clock budget in seconds.
-    pub time_limit: Option<f64>,
 }
 
 impl Default for MilpOptions {
@@ -31,95 +36,135 @@ impl Default for MilpOptions {
             max_nodes: 50_000,
             absolute_gap: 1e-6,
             relative_gap: 0.0,
-            time_limit: Some(20.0),
         }
     }
 }
 
-#[derive(Debug, Clone)]
+/// Work done by one MILP solve. Counted in every build, unlike the
+/// `milp_nodes`/`simplex_pivots` telemetry counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MilpWork {
+    /// Branch-and-bound nodes popped, pruned ones included.
+    pub nodes: usize,
+    /// Simplex pivots, the root's cold solve and diving included.
+    pub pivots: usize,
+}
+
+#[derive(Debug)]
 struct Node {
     lower: Vec<f64>,
     upper: Vec<f64>,
     /// LP bound inherited from the parent (for pruning before solving).
     parent_bound: f64,
+    /// The parent's optimal simplex state. `None` for the child pushed
+    /// last, which is popped right after its parent and so finds the
+    /// parent's state live in the engine.
+    warm: Option<LpState>,
+}
+
+impl Node {
+    /// Drops the node, recycling its snapshot.
+    fn discard(self) {
+        if let Some(state) = self.warm {
+            state.recycle();
+        }
+    }
+}
+
+/// The fractional integer variable to fix or branch on, by `score`
+/// (highest wins), with its LP value.
+fn pick_fractional(
+    model: &Model,
+    relaxed: &Solution,
+    score: impl Fn(f64, f64, bool) -> f64,
+) -> Option<(usize, f64)> {
+    let mut pick: Option<(usize, f64)> = None;
+    let mut best = f64::NEG_INFINITY;
+    for (j, v) in model.variables().iter().enumerate() {
+        if v.integer {
+            let x = relaxed.values[j];
+            let frac = (x - x.round()).abs();
+            if frac <= INT_TOL {
+                continue;
+            }
+            let binary = v.upper - v.lower <= 1.0 + 1e-9;
+            let s = score(x, frac, binary);
+            if s > best {
+                best = s;
+                pick = Some((j, x));
+            }
+        }
+    }
+    pick
+}
+
+/// `relaxed` with its integer variables rounded to integers.
+fn snap(model: &Model, relaxed: &Solution) -> Solution {
+    let mut values = relaxed.values.clone();
+    for (k, v) in model.variables().iter().enumerate() {
+        if v.integer {
+            values[k] = values[k].round();
+        }
+    }
+    let objective = model.objective_value(&values);
+    Solution { values, objective }
 }
 
 /// Diving heuristic: repeatedly fixes the most fractional integer variable
-/// to a rounded value and re-solves the LP, backtracking once per variable
-/// to the other rounding when the fix is infeasible. Reliably produces an
-/// integer-feasible incumbent on models whose continuous variables can
-/// absorb the rounding (e.g. net bounding boxes).
+/// to a rounded value and re-solves the LP warm, backtracking once per
+/// variable to the other rounding when the fix is infeasible. Reliably
+/// produces an integer-feasible incumbent on models whose continuous
+/// variables can absorb the rounding (e.g. net bounding boxes). Each step
+/// fixes one more integer variable, so a dive ends after at most one step
+/// per integer variable.
+///
+/// `lp` must hold the optimal state of the node `root` was solved at,
+/// whose bounds are `lower0`/`upper0`; the dive leaves it in its last
+/// state.
 fn diving_heuristic(
     model: &Model,
+    lp: &mut LpEngine<'_>,
     lower0: &[f64],
     upper0: &[f64],
     root: &Solution,
-    deadline: Option<std::time::Instant>,
 ) -> Option<Solution> {
-    let mut lower = lower0.to_vec();
-    let mut upper = upper0.to_vec();
     let mut current = root.clone();
     loop {
-        if deadline.is_some_and(|d| std::time::Instant::now() > d) {
-            return None;
-        }
         // Pick the next variable to fix: fractional binaries first (they
         // reshape the geometry), then the fractional integer with the
         // *smallest* LP value — monotone left-to-right diving dead-ends far
         // less often on difference-constraint systems than most-fractional.
-        let mut pick: Option<(usize, f64)> = None;
-        let mut best_score = f64::NEG_INFINITY;
-        for (j, v) in model.variables().iter().enumerate() {
-            if v.integer {
-                let x = current.values[j];
-                let frac = (x - x.round()).abs();
-                if frac <= INT_TOL {
-                    continue;
+        let pick = pick_fractional(
+            model,
+            &current,
+            |x, frac, binary| {
+                if binary {
+                    1e18 + frac
+                } else {
+                    -x
                 }
-                let binary = v.upper - v.lower <= 1.0 + 1e-9;
-                let score = if binary { 1e18 + frac } else { -x };
-                if score > best_score {
-                    best_score = score;
-                    pick = Some((j, x));
-                }
-            }
-        }
+            },
+        );
         let Some((j, x)) = pick else {
             // All integral: snap and return.
-            let mut values = current.values.clone();
-            for (k, v) in model.variables().iter().enumerate() {
-                if v.integer {
-                    values[k] = values[k].round();
-                }
-            }
-            if model.max_violation(&values) > 1e-6 {
+            let s = snap(model, &current);
+            return (model.max_violation(&s.values) <= 1e-6).then_some(s);
+        };
+        let rounded = x.round().clamp(lower0[j], upper0[j]);
+        lp.set_var_bounds(j, rounded, rounded);
+        if lp.solve().is_err() {
+            let alt = if rounded > x {
+                rounded - 1.0
+            } else {
+                rounded + 1.0
+            };
+            if alt < lower0[j] || alt > upper0[j] {
                 return None;
             }
-            let objective = model.objective_value(&values);
-            return Some(Solution { values, objective });
-        };
-        let rounded = x.round().clamp(lower[j], upper[j]);
-        lower[j] = rounded;
-        upper[j] = rounded;
-        match solve_lp_with_bounds(model, &lower, &upper) {
-            Ok(s) => current = s,
-            Err(_) => {
-                let alt = if rounded > x {
-                    rounded - 1.0
-                } else {
-                    rounded + 1.0
-                };
-                if alt < lower0[j] || alt > upper0[j] {
-                    return None;
-                }
-                lower[j] = alt;
-                upper[j] = alt;
-                match solve_lp_with_bounds(model, &lower, &upper) {
-                    Ok(s) => current = s,
-                    Err(_) => return None,
-                }
-            }
+            lp.set_var_bounds(j, alt, alt);
+            lp.solve().ok()?;
         }
+        current = lp.solution();
     }
 }
 
@@ -143,25 +188,50 @@ fn rounding_heuristic(model: &Model, relaxed: &Solution) -> Option<Solution> {
 impl Model {
     /// Solves the model as a mixed-integer program with branch and bound.
     ///
-    /// Continuous relaxations are solved by the two-phase simplex; branching
-    /// is on the most fractional integer variable; a rounding heuristic seeds
-    /// the incumbent. The search is depth-first (better-child first).
+    /// The root relaxation is a cold simplex solve; every other node
+    /// re-solves warm from its parent's basis with the dual simplex.
+    /// Branching is on the most fractional integer variable; rounding and
+    /// diving heuristics seed the incumbent. The search is depth-first
+    /// (better child first) and bounded by [`MilpOptions::max_nodes`] only.
     ///
     /// # Errors
     ///
     /// [`SolveError::Infeasible`] when no integer-feasible point exists,
-    /// [`SolveError::Unbounded`] when the relaxation is unbounded, and
-    /// [`SolveError::NodeLimit`] when the node/time budget runs out before
-    /// any integer solution was found. If the budget runs out *after* an
+    /// [`SolveError::Unbounded`] when the relaxation is unbounded,
+    /// [`SolveError::NodeLimit`] when the node budget runs out before any
+    /// integer solution was found, and [`SolveError::IterationLimit`] when
+    /// no integer solution was found but nodes whose LP stalled (or came
+    /// back unbounded below the root) were dropped unresolved, so
+    /// infeasibility is unproven. If the budget runs out *after* an
     /// incumbent was found, the incumbent is returned (best effort).
     pub fn solve_milp(&self, opts: &MilpOptions) -> Result<Solution, SolveError> {
-        let start = std::time::Instant::now();
-        let lower0: Vec<f64> = self.variables().iter().map(|v| v.lower).collect();
-        let upper0: Vec<f64> = self.variables().iter().map(|v| v.upper).collect();
+        self.solve_milp_counted(opts).0
+    }
+
+    /// [`solve_milp`](Self::solve_milp), also returning the work it took.
+    pub fn solve_milp_counted(
+        &self,
+        opts: &MilpOptions,
+    ) -> (Result<Solution, SolveError>, MilpWork) {
+        let mut lp = LpEngine::new(self);
+        let mut work = MilpWork::default();
+        let result = self.branch_and_bound(opts, &mut lp, &mut work.nodes);
+        work.pivots = lp.pivots;
+        (result, work)
+    }
+
+    /// The search behind [`solve_milp`](Self::solve_milp) on engine `lp`,
+    /// counting popped nodes into `nodes`.
+    fn branch_and_bound(
+        &self,
+        opts: &MilpOptions,
+        lp: &mut LpEngine<'_>,
+        nodes: &mut usize,
+    ) -> Result<Solution, SolveError> {
+        let mut lower0: Vec<f64> = self.variables().iter().map(|v| v.lower).collect();
+        let mut upper0: Vec<f64> = self.variables().iter().map(|v| v.upper).collect();
 
         // Integer bounds can be tightened to integral values immediately.
-        let mut lower0 = lower0;
-        let mut upper0 = upper0;
         for (j, v) in self.variables().iter().enumerate() {
             if v.integer {
                 lower0[j] = lower0[j].ceil();
@@ -177,104 +247,96 @@ impl Model {
             lower: lower0,
             upper: upper0,
             parent_bound: f64::NEG_INFINITY,
+            warm: None,
         }];
-        let mut nodes = 0usize;
         let mut dives = 0usize;
-        let mut root_infeasible = true;
+        let mut unresolved = false;
 
         while let Some(node) = stack.pop() {
-            nodes += 1;
+            *nodes += 1;
             MILP_NODES.add(1);
-            if nodes > opts.max_nodes
-                || opts
-                    .time_limit
-                    .is_some_and(|t| start.elapsed().as_secs_f64() > t)
-            {
+            if *nodes > opts.max_nodes {
                 placer_telemetry::vlog!(
                     1,
-                    "milp: budget exhausted at {nodes} nodes ({}s), stack {}, incumbent {:?}",
-                    start.elapsed().as_secs_f64(),
+                    "milp: budget exhausted at {} nodes, stack {}, incumbent {:?}",
+                    *nodes,
                     stack.len(),
                     incumbent.as_ref().map(|s| s.objective)
                 );
                 if incumbent.is_none() {
-                    // Last resort: one deadline-free dive from this node so
-                    // slow machines (or debug builds) still get a feasible
-                    // answer instead of a NodeLimit error.
-                    if let Ok(relaxed) = solve_lp_with_bounds(self, &node.lower, &node.upper) {
-                        incumbent =
-                            diving_heuristic(self, &node.lower, &node.upper, &relaxed, None);
+                    // Last resort: one dive from this node so a small node
+                    // budget still yields a feasible answer instead of a
+                    // NodeLimit error.
+                    if let Some(state) = node.warm {
+                        lp.restore(state);
                     }
+                    lp.set_bounds(&node.lower, &node.upper);
+                    if lp.solve().is_ok() {
+                        let relaxed = lp.solution();
+                        incumbent = diving_heuristic(self, lp, &node.lower, &node.upper, &relaxed);
+                    }
+                } else {
+                    node.discard();
                 }
+                stack.into_iter().for_each(Node::discard);
                 return incumbent.ok_or(SolveError::NodeLimit);
             }
-            if let Some(inc) = &incumbent {
-                let cutoff =
-                    inc.objective - opts.absolute_gap - opts.relative_gap * inc.objective.abs();
-                if node.parent_bound >= cutoff {
-                    MILP_PRUNED.add(1);
+            let cutoff = incumbent.as_ref().map(|inc| {
+                inc.objective - opts.absolute_gap - opts.relative_gap * inc.objective.abs()
+            });
+            if cutoff.is_some_and(|c| node.parent_bound >= c) {
+                MILP_PRUNED.add(1);
+                node.discard();
+                continue;
+            }
+            if let Some(state) = node.warm {
+                lp.restore(state);
+            }
+            lp.set_bounds(&node.lower, &node.upper);
+            let solved = lp.solve();
+            match solved {
+                Ok(()) => {}
+                Err(SolveError::Infeasible) => continue,
+                Err(e @ (SolveError::Unbounded | SolveError::IterationLimit)) if *nodes == 1 => {
+                    return Err(e);
+                }
+                Err(_) => {
+                    // A stalled (or numerically unbounded) node is dropped;
+                    // the search can no longer prove infeasibility.
+                    unresolved = true;
                     continue;
                 }
             }
-            let relaxed = match solve_lp_with_bounds(self, &node.lower, &node.upper) {
-                Ok(s) => s,
-                Err(SolveError::Infeasible) => continue,
-                Err(SolveError::Unbounded) if nodes == 1 => return Err(SolveError::Unbounded),
-                Err(SolveError::Unbounded) => continue,
-                Err(e @ SolveError::IterationLimit) => {
-                    // Treat a stalled node pessimistically: drop it.
-                    if nodes == 1 {
-                        return Err(e);
-                    }
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            root_infeasible = false;
-            if let Some(inc) = &incumbent {
-                let cutoff =
-                    inc.objective - opts.absolute_gap - opts.relative_gap * inc.objective.abs();
-                if relaxed.objective >= cutoff {
-                    MILP_PRUNED.add(1);
-                    continue;
-                }
+            let relaxed = lp.solution();
+            if cutoff.is_some_and(|c| relaxed.objective >= c) {
+                MILP_PRUNED.add(1);
+                continue;
             }
 
             // Most fractional integer variable; binaries (big-M selectors,
             // flips) get priority since fixing them simplifies the geometry.
-            let mut branch_var: Option<(usize, f64)> = None;
-            let mut best_score = INT_TOL;
-            for (j, v) in self.variables().iter().enumerate() {
-                if v.integer {
-                    let x = relaxed.values[j];
-                    let frac = (x - x.round()).abs();
-                    if frac <= INT_TOL {
-                        continue;
-                    }
-                    let binary = v.upper - v.lower <= 1.0 + 1e-9;
-                    let score = if binary { frac + 1.0 } else { frac };
-                    if score > best_score {
-                        best_score = score;
-                        branch_var = Some((j, x));
-                    }
-                }
-            }
+            let branch_var =
+                pick_fractional(
+                    self,
+                    &relaxed,
+                    |_, frac, binary| {
+                        if binary {
+                            frac + 1.0
+                        } else {
+                            frac
+                        }
+                    },
+                );
 
             match branch_var {
                 None => {
                     // Integer feasible: snap and accept.
-                    let mut values = relaxed.values.clone();
-                    for (j, v) in self.variables().iter().enumerate() {
-                        if v.integer {
-                            values[j] = values[j].round();
-                        }
-                    }
-                    let objective = self.objective_value(&values);
+                    let s = snap(self, &relaxed);
                     if incumbent
                         .as_ref()
-                        .is_none_or(|inc| objective < inc.objective - 1e-12)
+                        .is_none_or(|inc| s.objective < inc.objective - 1e-12)
                     {
-                        incumbent = Some(Solution { values, objective });
+                        incumbent = Some(s);
                     }
                 }
                 Some((j, x)) => {
@@ -283,39 +345,48 @@ impl Model {
                     }
                     if incumbent.is_none() && dives < 5 && nodes.is_power_of_two() {
                         dives += 1;
-                        let deadline = opts
-                            .time_limit
-                            .map(|t| start + std::time::Duration::from_secs_f64(t * 0.5));
-                        incumbent =
-                            diving_heuristic(self, &node.lower, &node.upper, &relaxed, deadline);
+                        let state = lp.snapshot();
+                        incumbent = diving_heuristic(self, lp, &node.lower, &node.upper, &relaxed);
+                        lp.restore(state);
                     }
                     let floor = x.floor();
-                    let mut down = node.clone();
+                    let mut down = Node {
+                        lower: node.lower.clone(),
+                        upper: node.upper.clone(),
+                        parent_bound: relaxed.objective,
+                        warm: None,
+                    };
                     down.upper[j] = floor.min(down.upper[j]);
-                    down.parent_bound = relaxed.objective;
-                    let mut up = node.clone();
+                    let mut up = Node {
+                        lower: node.lower,
+                        upper: node.upper,
+                        parent_bound: relaxed.objective,
+                        warm: None,
+                    };
                     up.lower[j] = (floor + 1.0).max(up.lower[j]);
-                    up.parent_bound = relaxed.objective;
-                    // Explore the child nearest the LP value first (LIFO).
-                    if x - floor < 0.5 {
-                        stack.push(up);
-                        stack.push(down);
+                    // Explore the child nearest the LP value first (LIFO);
+                    // the other one keeps a copy of this node's basis.
+                    let (mut later, first) = if x - floor < 0.5 {
+                        (up, down)
                     } else {
-                        stack.push(down);
-                        stack.push(up);
-                    }
+                        (down, up)
+                    };
+                    later.warm = Some(lp.snapshot());
+                    stack.push(later);
+                    stack.push(first);
                 }
             }
         }
 
         placer_telemetry::vlog!(
             2,
-            "milp: explored {nodes} nodes, incumbent: {:?}",
+            "milp: explored {} nodes, incumbent: {:?}",
+            *nodes,
             incumbent.as_ref().map(|s| s.objective)
         );
         match incumbent {
             Some(s) => Ok(s),
-            None if root_infeasible => Err(SolveError::Infeasible),
+            None if unresolved => Err(SolveError::IterationLimit),
             None => Err(SolveError::Infeasible),
         }
     }
@@ -369,6 +440,19 @@ mod tests {
         assert!(s.value(y).abs() < 1e-9);
         assert!((s.value(x) - 1.6).abs() < 1e-6);
         assert!((s.objective - 1.6).abs() < 1e-6);
+    }
+
+    #[test]
+    fn work_is_counted_without_telemetry() {
+        let mut m = Model::new();
+        let a = m.add_bin_var("a", -10.0);
+        let b = m.add_bin_var("b", -6.0);
+        let c = m.add_bin_var("c", -4.0);
+        m.add_constraint(vec![(a, 2.0), (b, 2.0), (c, 2.0)], Le, 3.0);
+        let (s, work) = m.solve_milp_counted(&opts());
+        assert!((s.unwrap().objective - (-10.0)).abs() < 1e-6);
+        assert!(work.nodes > 1, "the root LP is fractional: {work:?}");
+        assert!(work.pivots > 0);
     }
 
     #[test]

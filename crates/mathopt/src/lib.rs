@@ -2,8 +2,12 @@
 //!
 //! A self-contained linear and mixed-integer programming toolkit sized for
 //! analog placement problems (hundreds of variables): a [`Model`] builder,
-//! a dense two-phase primal simplex (`Model::solve_lp`), and a
-//! branch-and-bound MILP solver (`Model::solve_milp`).
+//! a bounded-variable simplex engine on a dense tableau (`Model::solve_lp`
+//! is its cold start), and a branch-and-bound MILP solver
+//! (`Model::solve_milp`) whose nodes re-solve warm with the dual simplex
+//! from their parent's basis. Nothing here reads a clock: the MILP's only
+//! work limit is [`MilpOptions::max_nodes`], so results are a function of
+//! the model and the options.
 //!
 //! The paper's detailed placer (Eq. 4a–4j) and the ISPD'19 baseline's
 //! two-stage LP legalization are both built on this crate.
@@ -31,9 +35,10 @@
 mod branch_bound;
 mod diff_systems;
 mod model;
+mod oracle;
 mod simplex;
 
-pub use branch_bound::MilpOptions;
+pub use branch_bound::{MilpOptions, MilpWork};
 pub use model::{Constraint, ConstraintOp, Model, Solution, SolveError, VarId, Variable};
 
 #[cfg(test)]

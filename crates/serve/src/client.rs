@@ -172,6 +172,7 @@ impl Client {
         stream: bool,
     ) -> Result<Client, ClientError> {
         let writer = TcpStream::connect(addr)?;
+        writer.set_nodelay(true)?;
         let reader = BufReader::new(writer.try_clone()?);
         let mut client = Client {
             reader,
@@ -202,8 +203,9 @@ impl Client {
     }
 
     fn send_line(&mut self, line: &str) -> Result<(), ClientError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        // One write per frame: with TCP_NODELAY set, a separate newline
+        // write would go out as its own segment.
+        self.writer.write_all([line, "\n"].concat().as_bytes())?;
         self.writer.flush()?;
         Ok(())
     }
@@ -400,6 +402,35 @@ mod tests {
             Reply::Pong
         ));
         assert!(matches!(classify("garbage"), Reply::Error(_)));
+    }
+
+    #[test]
+    fn connected_stream_disables_nagle() {
+        use crate::protocol::welcome_frame;
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut hello = String::new();
+            reader.read_line(&mut hello).unwrap();
+            let mut w = stream;
+            w.write_all(format!("{}\n", welcome_frame("scalar")).as_bytes())
+                .unwrap();
+            stream_hold(reader)
+        });
+        let client = Client::connect(addr, "t", false).unwrap();
+        assert!(client.writer.nodelay().unwrap());
+        assert!(client.reader.get_ref().nodelay().unwrap());
+        drop(client);
+        server.join().unwrap();
+    }
+
+    /// Keeps the server end open until the client hangs up.
+    fn stream_hold(mut reader: BufReader<TcpStream>) {
+        let mut rest = String::new();
+        let _ = reader.read_line(&mut rest);
     }
 
     #[test]

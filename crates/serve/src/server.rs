@@ -90,9 +90,9 @@ struct Outbound {
 
 impl Outbound {
     fn send_line(&self, line: &str) {
+        let frame = [line, "\n"].concat();
         let mut w = self.stream.lock().unwrap();
-        let _ = w.write_all(line.as_bytes());
-        let _ = w.write_all(b"\n");
+        let _ = w.write_all(frame.as_bytes());
         let _ = w.flush();
     }
 }
@@ -283,6 +283,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 }
 
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
+    // Frames are small request/answer lines: without TCP_NODELAY, Nagle's
+    // algorithm holds each one back until the peer's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let out = Arc::new(Outbound {
         stream: Mutex::new(match stream.try_clone() {
             Ok(s) => s,
