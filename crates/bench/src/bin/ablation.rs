@@ -8,8 +8,8 @@
 //! This binary toggles each knob inside ePlace-A itself, holding everything
 //! else fixed.
 
-use eplace::{PlacerConfig, Smoothing};
-use placer_bench::{paper_circuits, print_row, run_eplace_a_with};
+use eplace::{EPlaceA, PlacerConfig, Smoothing};
+use placer_bench::{paper_circuits, print_row, run_placer};
 
 fn main() {
     let widths = [8usize, 16, 10, 10];
@@ -45,7 +45,7 @@ fn main() {
     let grid = placer_parallel::par_map(circuits.len() * variants.len(), |k| {
         let circuit = &circuits[k / variants.len()];
         let (_, config) = &variants[k % variants.len()];
-        run_eplace_a_with(circuit, config.clone())
+        run_placer(&EPlaceA::new(config.clone()), circuit)
     });
     for (k, run) in grid.into_iter().enumerate() {
         let circuit = &circuits[k / variants.len()];

@@ -467,7 +467,7 @@ fn main() {
         let edited = delta.apply(&circuit).expect("delta applies").circuit;
         let artifacts = CircuitArtifacts::build(circuit.clone());
         let cold_base = placer
-            .place_artifacts(&artifacts, &RunBudget::unlimited())
+            .run(&artifacts, None, &RunBudget::unlimited())
             .expect("base place succeeds");
         let warm = eplace::eco::warm_checkpoint(
             &circuit,
@@ -478,7 +478,7 @@ fn main() {
             let rebuilt = CircuitArtifacts::build(edited.clone());
             std::hint::black_box(
                 placer
-                    .place_artifacts(&rebuilt, &RunBudget::unlimited())
+                    .run(&rebuilt, None, &RunBudget::unlimited())
                     .expect("cold re-place succeeds"),
             );
         });

@@ -4,7 +4,7 @@
 //! Paper shape: dropping the area term costs >20% in both area and HPWL.
 
 use analog_netlist::Circuit;
-use eplace::{EPlaceA, PlacerConfig};
+use eplace::{EPlaceA, PlaceOutcome, Placer, PlacerConfig, RunBudget};
 use placer_bench::trace::{require_tracing_or_exit, trace_flag, with_trace};
 use placer_bench::{paper_circuits, print_row};
 
@@ -47,7 +47,9 @@ fn averaged(circuit: &Circuit, eta: f64) -> (f64, f64) {
         config.global.seed = seed;
         config.restarts = 1;
         config.preserve_gp = true;
-        if let Ok(r) = EPlaceA::new(config).place(circuit) {
+        if let Ok(PlaceOutcome::Complete(r)) =
+            EPlaceA::new(config).place(circuit, &RunBudget::unlimited())
+        {
             area += r.area;
             hpwl += r.hpwl;
             ok += 1.0;

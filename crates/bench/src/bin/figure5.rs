@@ -5,8 +5,8 @@
 //! (Pareto-dominant) across the sweep, not just at one setting.
 
 use analog_netlist::testcases;
-use eplace::PlacerConfig;
-use placer_bench::{print_row, run_eplace_a_with};
+use eplace::{EPlaceA, PlacerConfig};
+use placer_bench::{print_row, run_placer};
 use placer_sa::{SaConfig, SaPlacer};
 use placer_xu19::{Xu19GlobalConfig, Xu19Placer};
 
@@ -28,7 +28,7 @@ fn main() {
         let mut cfg = PlacerConfig::default();
         cfg.detailed.mu = mu;
         cfg.global.eta_scale = eta;
-        let run = run_eplace_a_with(&circuit, cfg);
+        let run = run_placer(&EPlaceA::new(cfg), &circuit);
         print_row(
             &[
                 "ePlace-A".into(),
@@ -42,12 +42,11 @@ fn main() {
 
     // SA: sweep the HPWL weight.
     for w in [0.2, 0.5, 1.0, 2.0, 5.0] {
-        let result = SaPlacer::new(SaConfig {
+        let sa = SaPlacer::new(SaConfig {
             hpwl_weight: w,
             ..placer_bench::sa_config(&circuit)
-        })
-        .place(&circuit)
-        .expect("SA failed");
+        });
+        let result = run_placer(&sa, &circuit);
         print_row(
             &[
                 "SA".into(),
@@ -61,12 +60,11 @@ fn main() {
 
     // [11]: sweep the density/utilization knobs.
     for util in [0.25, 0.3, 0.35, 0.45, 0.55] {
-        let result = Xu19Placer::new(Xu19GlobalConfig {
+        let xu19 = Xu19Placer::new(Xu19GlobalConfig {
             utilization: util,
             ..Xu19GlobalConfig::default()
-        })
-        .place(&circuit)
-        .expect("xu19 failed");
+        });
+        let result = run_placer(&xu19, &circuit);
         print_row(
             &[
                 "[11]".into(),

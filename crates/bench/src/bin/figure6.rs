@@ -6,7 +6,7 @@
 
 use analog_netlist::testcases;
 use eplace::{EPlaceAP, PerfConfig, PlacerConfig};
-use placer_bench::{fom_of, print_row, train_model, RunMetrics};
+use placer_bench::{fom_of, print_row, run_placer, train_model, RunMetrics};
 use placer_sa::SaPlacer;
 use placer_xu19::Xu19Placer;
 
@@ -25,13 +25,7 @@ fn main() {
             PerfConfig::new(alpha, model.dataset.scale),
             model.network.clone(),
         );
-        let r = placer.place(&circuit).expect("ePlace-AP failed");
-        let run = RunMetrics {
-            area: r.area,
-            hpwl: r.hpwl,
-            seconds: 0.0,
-            placement: r.placement,
-        };
+        let run = run_placer(&placer, &circuit);
         print_row(
             &[
                 "ePlace-AP".into(),
@@ -44,15 +38,10 @@ fn main() {
     }
 
     for weight in [10.0, 30.0, 60.0, 120.0, 250.0] {
-        let r = SaPlacer::new(placer_bench::sa_perf_config(&circuit))
+        let run: RunMetrics = SaPlacer::new(placer_bench::sa_perf_config(&circuit))
             .place_perf(&circuit, &model.network, weight, model.dataset.scale)
-            .expect("SA failed");
-        let run = RunMetrics {
-            area: r.area,
-            hpwl: r.hpwl,
-            seconds: 0.0,
-            placement: r.placement,
-        };
+            .expect("SA failed")
+            .into();
         print_row(
             &[
                 "SA-perf".into(),
@@ -65,15 +54,10 @@ fn main() {
     }
 
     for alpha in [0.1, 0.3, 0.6, 1.2, 2.5] {
-        let r = Xu19Placer::default()
+        let run: RunMetrics = Xu19Placer::default()
             .place_perf(&circuit, &model.network, alpha, model.dataset.scale)
-            .expect("xu19 failed");
-        let run = RunMetrics {
-            area: r.area,
-            hpwl: r.hpwl,
-            seconds: 0.0,
-            placement: r.placement,
-        };
+            .expect("xu19 failed")
+            .into();
         print_row(
             &[
                 "[11]perf".into(),

@@ -11,8 +11,8 @@
 
 use analog_netlist::testcases::scalable_array;
 use eplace::{EPlaceA, PlacerConfig};
-use placer_bench::print_row;
 use placer_bench::trace::{require_tracing_or_exit, trace_flag, with_trace};
+use placer_bench::{print_row, run_placer};
 use placer_sa::{SaConfig, SaPlacer};
 
 /// `--trace`: one mid-size array (4 stages), both placers traced serially,
@@ -33,16 +33,14 @@ fn traced_run(filter: Option<String>) {
     };
     let seed = config.global.seed;
     let ea = with_trace(circuit.name(), "eplace_a", seed, || {
-        EPlaceA::new(config.clone())
-            .place(&circuit)
-            .expect("ePlace-A failed")
+        run_placer(&EPlaceA::new(config.clone()), &circuit)
     });
     println!(
         "{} eplace_a: area {:.1}, hpwl {:.1}, {:.2}s",
         circuit.name(),
         ea.area,
         ea.hpwl,
-        ea.gp_seconds + ea.dp_seconds
+        ea.seconds
     );
     let sa_cfg = SaConfig {
         temperatures: 360,
@@ -50,16 +48,14 @@ fn traced_run(filter: Option<String>) {
         ..SaConfig::default()
     };
     let sa = with_trace(circuit.name(), "sa", sa_cfg.seed, || {
-        SaPlacer::new(sa_cfg.clone())
-            .place(&circuit)
-            .expect("SA failed")
+        run_placer(&SaPlacer::new(sa_cfg.clone()), &circuit)
     });
     println!(
         "{} sa: area {:.1}, hpwl {:.1}, {:.2}s",
         circuit.name(),
         sa.area,
         sa.hpwl,
-        sa.anneal_seconds + sa.repair_seconds
+        sa.seconds
     );
 }
 
@@ -92,26 +88,23 @@ fn main() {
             preserve_gp: true,
             ..PlacerConfig::default()
         };
-        let ea = EPlaceA::new(config)
-            .place(&circuit)
-            .expect("ePlace-A failed");
+        let ea = run_placer(&EPlaceA::new(config), &circuit);
         let sa = SaPlacer::new(SaConfig {
             temperatures: 360,
             moves_per_temperature: 200 * circuit.num_devices(),
             ..SaConfig::default()
-        })
-        .place(&circuit)
-        .expect("SA failed");
+        });
+        let sa = run_placer(&sa, &circuit);
         print_row(
             &[
                 format!("{stages}"),
                 format!("{}", circuit.num_devices()),
                 format!("{:.1}", ea.area),
                 format!("{:.1}", ea.hpwl),
-                format!("{:.2}", ea.gp_seconds + ea.dp_seconds),
+                format!("{:.2}", ea.seconds),
                 format!("{:.1}", sa.area),
                 format!("{:.1}", sa.hpwl),
-                format!("{:.2}", sa.anneal_seconds + sa.repair_seconds),
+                format!("{:.2}", sa.seconds),
             ],
             &widths,
         );

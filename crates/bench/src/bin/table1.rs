@@ -9,7 +9,7 @@
 //! Paper shape: hard constraints increase both area and wirelength.
 
 use analog_netlist::{testcases, Circuit};
-use eplace::{EPlaceA, PlacerConfig, SymmetryMode};
+use eplace::{EPlaceA, PlaceOutcome, Placer, PlacerConfig, RunBudget, SymmetryMode};
 use placer_bench::print_row;
 
 fn averaged(circuit: &Circuit, mode: SymmetryMode) -> (f64, f64, f64) {
@@ -24,10 +24,12 @@ fn averaged(circuit: &Circuit, mode: SymmetryMode) -> (f64, f64, f64) {
         config.global.seed = seed;
         config.restarts = 1;
         config.preserve_gp = true;
-        if let Ok(result) = EPlaceA::new(config).place(circuit) {
+        if let Ok(PlaceOutcome::Complete(result)) =
+            EPlaceA::new(config).place(circuit, &RunBudget::unlimited())
+        {
             area += result.area;
             hpwl += result.hpwl;
-            seconds += result.gp_seconds + result.dp_seconds;
+            seconds += result.stage1_seconds + result.stage2_seconds;
             successes += 1.0;
         }
     }

@@ -6,10 +6,11 @@
 //! beats SA on area (≈1.11×) and HPWL (≈1.14×) while \[11\] is *worse* than
 //! SA on quality (≈1.25×/1.24×).
 
+use eplace::{EPlaceA, Placer, PlacerConfig};
 use placer_bench::trace::{require_tracing_or_exit, trace_flag, with_trace};
-use placer_bench::{
-    geomean_ratio, paper_circuits, print_row, run_eplace_a, run_sa, run_xu19, RunMetrics,
-};
+use placer_bench::{geomean_ratio, paper_circuits, print_row, run_placer, sa_config};
+use placer_sa::SaPlacer;
+use placer_xu19::Xu19Placer;
 
 /// `--trace[=CIRCUIT]`: run all three placers serially on one circuit
 /// (the smallest by default), each under its own trace sink, and exit.
@@ -26,22 +27,27 @@ fn traced_run(filter: Option<String>) {
             .min_by_key(|c| c.num_devices())
             .expect("paper circuits exist"),
     };
-    type Runner = fn(&analog_netlist::Circuit) -> RunMetrics;
-    let runs: [(&str, u64, Runner); 3] = [
-        ("sa", placer_sa::SaConfig::default().seed, run_sa),
+    let runs: [(&str, u64, Box<dyn Placer>); 3] = [
+        (
+            "sa",
+            placer_sa::SaConfig::default().seed,
+            Box::new(SaPlacer::new(sa_config(circuit))),
+        ),
         (
             "xu19",
             placer_xu19::Xu19GlobalConfig::default().seed,
-            run_xu19,
+            Box::new(Xu19Placer::default()),
         ),
         (
             "eplace_a",
-            eplace::PlacerConfig::default().global.seed,
-            run_eplace_a,
+            PlacerConfig::default().global.seed,
+            Box::new(EPlaceA::new(PlacerConfig::default())),
         ),
     ];
     for (placer, seed, runner) in runs {
-        let m = with_trace(circuit.name(), placer, seed, || runner(circuit));
+        let m = with_trace(circuit.name(), placer, seed, || {
+            run_placer(runner.as_ref(), circuit)
+        });
         println!(
             "{} {placer}: area {:.1}, hpwl {:.1}, {:.2}s",
             circuit.name(),
@@ -89,7 +95,11 @@ fn main() {
     let circuits = paper_circuits();
     let runs = placer_parallel::par_map(circuits.len(), |i| {
         let circuit = &circuits[i];
-        (run_sa(circuit), run_xu19(circuit), run_eplace_a(circuit))
+        (
+            run_placer(&SaPlacer::new(sa_config(circuit)), circuit),
+            run_placer(&Xu19Placer::default(), circuit),
+            run_placer(&EPlaceA::new(PlacerConfig::default()), circuit),
+        )
     });
     for (circuit, (sa, xu, ea)) in circuits.iter().zip(runs) {
         print_row(

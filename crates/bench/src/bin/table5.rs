@@ -4,10 +4,13 @@
 //! Paper shape: performance-driven variants lift FOM for every method;
 //! the analytical ones gain more than SA; ePlace-AP is best (≈0.90 avg).
 
+use eplace::{EPlaceA, PlacerConfig};
 use placer_bench::{
-    fom_of, paper_circuits, print_row, run_eplace_a, run_eplace_ap, run_sa, run_sa_perf, run_xu19,
-    run_xu19_perf, train_model,
+    fom_of, paper_circuits, print_row, run_placer, run_sa_perf, run_xu19_perf, sa_config,
+    train_model,
 };
+use placer_sa::SaPlacer;
+use placer_xu19::Xu19Placer;
 
 fn main() {
     let widths = [8usize, 8, 8, 8, 8, 8, 8];
@@ -33,12 +36,20 @@ fn main() {
         let model = train_model(circuit);
         let ev = &model.evaluator;
         [
-            fom_of(circuit, ev, &run_sa(circuit)),
+            fom_of(
+                circuit,
+                ev,
+                &run_placer(&SaPlacer::new(sa_config(circuit)), circuit),
+            ),
             fom_of(circuit, ev, &run_sa_perf(circuit, &model)),
-            fom_of(circuit, ev, &run_xu19(circuit)),
+            fom_of(circuit, ev, &run_placer(&Xu19Placer::default(), circuit)),
             fom_of(circuit, ev, &run_xu19_perf(circuit, &model)),
-            fom_of(circuit, ev, &run_eplace_a(circuit)),
-            fom_of(circuit, ev, &run_eplace_ap(circuit, &model)),
+            fom_of(
+                circuit,
+                ev,
+                &run_placer(&EPlaceA::new(PlacerConfig::default()), circuit),
+            ),
+            fom_of(circuit, ev, &run_placer(&model.eplace_ap(), circuit)),
         ]
     });
     for (circuit, foms) in circuits.iter().zip(all_foms) {

@@ -5,13 +5,14 @@
 //! a modest phase-margin cost.
 
 use analog_netlist::testcases;
-use placer_bench::{print_row, run_eplace_a, run_eplace_ap, train_model};
+use eplace::{EPlaceA, PlacerConfig};
+use placer_bench::{print_row, run_placer, train_model};
 
 fn main() {
     let circuit = testcases::cc_ota();
     let model = train_model(&circuit);
-    let conventional = run_eplace_a(&circuit);
-    let perf_driven = run_eplace_ap(&circuit, &model);
+    let conventional = run_placer(&EPlaceA::new(PlacerConfig::default()), &circuit);
+    let perf_driven = run_placer(&model.eplace_ap(), &circuit);
 
     let report_a = model.evaluator.evaluate(&circuit, &conventional.placement);
     let report_ap = model.evaluator.evaluate(&circuit, &perf_driven.placement);

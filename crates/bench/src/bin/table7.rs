@@ -8,8 +8,7 @@
 //! because the GNN gradient dominates.
 
 use placer_bench::{
-    geomean_ratio, paper_circuits, print_row, run_eplace_ap, run_sa_perf, run_xu19_perf,
-    train_model,
+    geomean_ratio, paper_circuits, print_row, run_placer, run_sa_perf, run_xu19_perf, train_model,
 };
 
 fn main() {
@@ -41,7 +40,7 @@ fn main() {
         (
             run_sa_perf(circuit, &model),
             run_xu19_perf(circuit, &model),
-            run_eplace_ap(circuit, &model),
+            run_placer(&model.eplace_ap(), circuit),
         )
     });
     for (circuit, (s, x, a)) in circuits.iter().zip(runs) {

@@ -18,7 +18,9 @@ pub mod trace;
 
 use analog_netlist::{testcases, Circuit, Placement};
 use analog_perf::{graph_scale, DatasetOptions, Evaluator, GeneratedDataset};
-use eplace::{EPlaceA, EPlaceAP, PerfConfig, PlacerConfig};
+use eplace::{
+    EPlaceA, EPlaceAP, PerfConfig, PlaceOutcome, PlaceSolution, Placer, PlacerConfig, RunBudget,
+};
 use placer_gnn::{Network, TrainOptions};
 use placer_sa::{SaConfig, SaPlacer};
 use placer_xu19::Xu19Placer;
@@ -34,6 +36,17 @@ pub struct RunMetrics {
     pub seconds: f64,
     /// The placement itself (for FOM evaluation).
     pub placement: Placement,
+}
+
+impl From<PlaceSolution> for RunMetrics {
+    fn from(s: PlaceSolution) -> Self {
+        Self {
+            area: s.area,
+            hpwl: s.hpwl,
+            seconds: s.stage1_seconds + s.stage2_seconds,
+            placement: s.placement,
+        }
+    }
 }
 
 /// The paper's ten testcases in Table III order.
@@ -124,63 +137,16 @@ pub fn sa_perf_config(circuit: &Circuit) -> SaConfig {
     }
 }
 
-/// Runs the SA baseline.
+/// Runs a placer to completion on a circuit.
 ///
 /// # Panics
 ///
 /// Panics if the placer fails (the harness treats failures as fatal).
-pub fn run_sa(circuit: &Circuit) -> RunMetrics {
-    let result = SaPlacer::new(sa_config(circuit))
-        .place(circuit)
-        .expect("SA placement failed");
-    RunMetrics {
-        area: result.area,
-        hpwl: result.hpwl,
-        seconds: result.anneal_seconds + result.repair_seconds,
-        placement: result.placement,
-    }
-}
-
-/// Runs the ISPD'19 baseline \[11\].
-///
-/// # Panics
-///
-/// Panics if the placer fails.
-pub fn run_xu19(circuit: &Circuit) -> RunMetrics {
-    let result = Xu19Placer::default()
-        .place(circuit)
-        .expect("xu19 placement failed");
-    RunMetrics {
-        area: result.area,
-        hpwl: result.hpwl,
-        seconds: result.gp_seconds + result.dp_seconds,
-        placement: result.placement,
-    }
-}
-
-/// Runs ePlace-A with the default configuration.
-///
-/// # Panics
-///
-/// Panics if the placer fails.
-pub fn run_eplace_a(circuit: &Circuit) -> RunMetrics {
-    run_eplace_a_with(circuit, PlacerConfig::default())
-}
-
-/// Runs ePlace-A with an explicit configuration.
-///
-/// # Panics
-///
-/// Panics if the placer fails.
-pub fn run_eplace_a_with(circuit: &Circuit, config: PlacerConfig) -> RunMetrics {
-    let result = EPlaceA::new(config)
-        .place(circuit)
-        .expect("ePlace-A failed");
-    RunMetrics {
-        area: result.area,
-        hpwl: result.hpwl,
-        seconds: result.gp_seconds + result.dp_seconds,
-        placement: result.placement,
+pub fn run_placer(placer: &dyn Placer, circuit: &Circuit) -> RunMetrics {
+    match placer.place(circuit, &RunBudget::unlimited()) {
+        Ok(PlaceOutcome::Complete(solution)) => solution.into(),
+        Ok(_) => unreachable!("an unlimited budget completes"),
+        Err(e) => panic!("{} placement failed: {e}", placer.name()),
     }
 }
 
@@ -227,7 +193,9 @@ pub fn train_model(circuit: &Circuit) -> PerfModel {
         restarts: 1,
         ..PlacerConfig::default()
     };
-    if let Ok(result) = EPlaceA::new(cfg).place(circuit) {
+    if let Ok(PlaceOutcome::Complete(result)) =
+        EPlaceA::new(cfg).place(circuit, &RunBudget::unlimited())
+    {
         for _ in 0..300 {
             let sigma = rng.gen_range(0.05..2.5);
             let mut p = result.placement.clone();
@@ -288,23 +256,15 @@ pub const PERF_ALPHA: f64 = 0.6;
 /// Default Φ weight (area units) for the SA perf-driven cost.
 pub const PERF_SA_WEIGHT: f64 = 60.0;
 
-/// Runs ePlace-AP with a trained model.
-///
-/// # Panics
-///
-/// Panics if the placer fails.
-pub fn run_eplace_ap(circuit: &Circuit, model: &PerfModel) -> RunMetrics {
-    let placer = EPlaceAP::new(
-        PlacerConfig::default(),
-        PerfConfig::new(PERF_ALPHA, model.dataset.scale),
-        model.network.clone(),
-    );
-    let result = placer.place(circuit).expect("ePlace-AP failed");
-    RunMetrics {
-        area: result.area,
-        hpwl: result.hpwl,
-        seconds: result.gp_seconds + result.dp_seconds,
-        placement: result.placement,
+impl PerfModel {
+    /// ePlace-AP at the default configuration and the analytical α,
+    /// around this model.
+    pub fn eplace_ap(&self) -> EPlaceAP {
+        EPlaceAP::new(
+            PlacerConfig::default(),
+            PerfConfig::new(PERF_ALPHA, self.dataset.scale),
+            self.network.clone(),
+        )
     }
 }
 
@@ -314,15 +274,10 @@ pub fn run_eplace_ap(circuit: &Circuit, model: &PerfModel) -> RunMetrics {
 ///
 /// Panics if the placer fails.
 pub fn run_xu19_perf(circuit: &Circuit, model: &PerfModel) -> RunMetrics {
-    let result = Xu19Placer::default()
+    Xu19Placer::default()
         .place_perf(circuit, &model.network, PERF_ALPHA, model.dataset.scale)
-        .expect("xu19 perf placement failed");
-    RunMetrics {
-        area: result.area,
-        hpwl: result.hpwl,
-        seconds: result.gp_seconds + result.dp_seconds,
-        placement: result.placement,
-    }
+        .expect("xu19 perf placement failed")
+        .into()
 }
 
 /// Runs performance-driven SA (\[19\]).
@@ -331,15 +286,10 @@ pub fn run_xu19_perf(circuit: &Circuit, model: &PerfModel) -> RunMetrics {
 ///
 /// Panics if the placer fails.
 pub fn run_sa_perf(circuit: &Circuit, model: &PerfModel) -> RunMetrics {
-    let result = SaPlacer::new(sa_perf_config(circuit))
+    SaPlacer::new(sa_perf_config(circuit))
         .place_perf(circuit, &model.network, PERF_SA_WEIGHT, model.dataset.scale)
-        .expect("SA perf placement failed");
-    RunMetrics {
-        area: result.area,
-        hpwl: result.hpwl,
-        seconds: result.anneal_seconds + result.repair_seconds,
-        placement: result.placement,
-    }
+        .expect("SA perf placement failed")
+        .into()
 }
 
 /// FOM of a run under the circuit's evaluator.
@@ -402,7 +352,13 @@ mod tests {
     #[test]
     fn runners_produce_legal_placements_on_adder() {
         let c = testcases::adder();
-        for run in [run_sa(&c), run_xu19(&c), run_eplace_a(&c)] {
+        let placers: [&dyn Placer; 3] = [
+            &SaPlacer::new(sa_config(&c)),
+            &Xu19Placer::default(),
+            &EPlaceA::new(PlacerConfig::default()),
+        ];
+        for placer in placers {
+            let run = run_placer(placer, &c);
             assert!(run.placement.overlapping_pairs(&c, 1e-6).is_empty());
             assert!(run.area > 0.0 && run.hpwl > 0.0);
         }

@@ -99,10 +99,9 @@ type DensityKey = ([u64; 4], usize);
 ///
 /// Built once per circuit (usually through an [`ArtifactCache`]) and handed
 /// around as `Arc<CircuitArtifacts>`. Every placer's
-/// [`place_artifacts`](crate::Placer::place_artifacts) entry point accepts
-/// one; runs that start from artifacts are bit-identical to cold-built runs
-/// because the shared state is exactly what the cold path would have
-/// computed (tested per placer).
+/// [`run`](crate::Placer::run) entry point takes one; sharing a bundle
+/// across runs never changes their results, because the shared state is
+/// exactly what a fresh [`CircuitArtifacts::build`] would compute.
 pub struct CircuitArtifacts {
     circuit: Arc<Circuit>,
     content_hash: u64,

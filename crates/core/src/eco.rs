@@ -23,8 +23,9 @@
 //! When the edit dirties too much of the circuit
 //! ([`EcoConfig::dirty_threshold`]) the fast path is not worth running;
 //! [`Placer::replace`](crate::Placer::replace) falls back to a cold
-//! `place_artifacts` on the patched bundle, which is bit-identical to a
-//! from-scratch run and serves as the correctness reference.
+//! [`Placer::run`](crate::Placer::run) on the patched bundle, which is
+//! bit-identical to a from-scratch run and serves as the correctness
+//! reference.
 
 use crate::artifacts::CircuitArtifacts;
 use crate::checkpoint::Checkpoint;

@@ -18,16 +18,17 @@
 //!
 //! ```
 //! use analog_netlist::testcases;
-//! use eplace::{EPlaceA, PlacerConfig};
+//! use eplace::{EPlaceA, Placer, PlacerConfig, RunBudget};
 //!
 //! # fn main() -> Result<(), eplace::PlaceError> {
 //! let circuit = testcases::cc_ota();
-//! let result = EPlaceA::new(PlacerConfig::default()).place(&circuit)?;
+//! let outcome = EPlaceA::new(PlacerConfig::default()).place(&circuit, &RunBudget::unlimited())?;
+//! let result = outcome.solution().expect("an unlimited budget completes");
 //! println!(
 //!     "area {:.1} µm², HPWL {:.1} µm in {:.2}s",
 //!     result.area,
 //!     result.hpwl,
-//!     result.gp_seconds + result.dp_seconds,
+//!     result.stage1_seconds + result.stage2_seconds,
 //! );
 //! assert!(result.placement.is_legal(&circuit, 1e-6));
 //! # Ok(())
@@ -69,7 +70,7 @@ pub use eco::{EcoConfig, EcoOutcome, EcoReplace};
 pub use error::PlaceError;
 pub use global::{GlobalPlacer, GlobalStats, GpCheckpoint, GpRun};
 pub use perf::{run_perf_global, PerfGradHook};
-pub use pipeline::{EPlaceA, EPlaceAP, PlacementResult};
+pub use pipeline::{EPlaceA, EPlaceAP};
 pub use placer::{expect_placer, PlaceOutcome, PlaceSolution, Placer, RaceProbe};
 pub use sepplan::{SepEdge, SeparationPlanner};
 pub use symmetry::{project_symmetry, symmetry_penalty};

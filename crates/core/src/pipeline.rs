@@ -1,15 +1,8 @@
 //! End-to-end placement pipelines: ePlace-A and ePlace-AP.
 //!
-//! Both pipelines expose two fronts:
-//!
-//! - the legacy inherent `place(&circuit)`, which runs to completion and
-//!   is kept bit-identical to its pre-budget behavior, and
-//! - the [`Placer`] trait (`place(&circuit, &RunBudget)` /
-//!   `resume(&circuit, &Checkpoint, &RunBudget)`), which adds deadlines,
-//!   cooperative cancellation and exact resume on top of the same engine.
-//!
-//! Both fronts share one engine per pipeline, so the unlimited-budget
-//! trait path and the legacy path execute the same instructions.
+//! Both run through the [`Placer`] trait's one entry point,
+//! [`Placer::run`], which adds deadlines, cooperative cancellation and
+//! exact resume on top of each pipeline's restart loop.
 
 use std::time::Instant;
 
@@ -20,54 +13,7 @@ use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::detailed::legalize;
 use crate::global::{GlobalPlacer, GpCheckpoint, GpRun};
 use crate::placer::{expect_placer, PlaceOutcome, PlaceSolution, Placer};
-use crate::{PerfConfig, PerfGradHook, PlaceError, PlacerConfig, RunBudget};
-
-/// The result of a full placement run.
-#[derive(Debug, Clone)]
-pub struct PlacementResult {
-    /// The final (legal) placement.
-    pub placement: Placement,
-    /// Exact HPWL (µm), flips included.
-    pub hpwl: f64,
-    /// Bounding-box area (µm²).
-    pub area: f64,
-    /// Global placement wall time (s).
-    pub gp_seconds: f64,
-    /// Detailed placement wall time (s).
-    pub dp_seconds: f64,
-    /// Global placement iterations.
-    pub gp_iterations: usize,
-}
-
-impl PlacementResult {
-    fn into_solution(self) -> PlaceSolution {
-        PlaceSolution {
-            placement: self.placement,
-            hpwl: self.hpwl,
-            area: self.area,
-            stage1_seconds: self.gp_seconds,
-            stage2_seconds: self.dp_seconds,
-            iterations: self.gp_iterations,
-        }
-    }
-}
-
-/// Internal outcome of a budgeted pipeline engine.
-enum EngineRun {
-    Done(PlacementResult),
-    Exhausted(PlacementResult),
-    Cancelled(Checkpoint),
-}
-
-impl EngineRun {
-    fn into_outcome(self) -> PlaceOutcome {
-        match self {
-            EngineRun::Done(r) => PlaceOutcome::Complete(r.into_solution()),
-            EngineRun::Exhausted(r) => PlaceOutcome::Exhausted(r.into_solution()),
-            EngineRun::Cancelled(ck) => PlaceOutcome::Cancelled(ck),
-        }
-    }
-}
+use crate::{CircuitArtifacts, PerfConfig, PerfGradHook, PlaceError, PlacerConfig, RunBudget};
 
 fn bad_checkpoint(message: String) -> PlaceError {
     PlaceError::BadCheckpoint(CheckpointError { line: 0, message })
@@ -111,23 +57,23 @@ fn get_placement(ck: &Checkpoint, prefix: &str, n: usize) -> Result<Placement, P
     })
 }
 
-fn put_result(ck: &mut Checkpoint, prefix: &str, r: &PlacementResult) {
+fn put_result(ck: &mut Checkpoint, prefix: &str, r: &PlaceSolution) {
     put_placement(ck, prefix, &r.placement);
     ck.put_f64(&format!("{prefix}hpwl"), r.hpwl);
     ck.put_f64(&format!("{prefix}area"), r.area);
-    ck.put_f64(&format!("{prefix}gp_seconds"), r.gp_seconds);
-    ck.put_f64(&format!("{prefix}dp_seconds"), r.dp_seconds);
-    ck.put_u64(&format!("{prefix}gp_iterations"), r.gp_iterations as u64);
+    ck.put_f64(&format!("{prefix}gp_seconds"), r.stage1_seconds);
+    ck.put_f64(&format!("{prefix}dp_seconds"), r.stage2_seconds);
+    ck.put_u64(&format!("{prefix}gp_iterations"), r.iterations as u64);
 }
 
-fn get_result(ck: &Checkpoint, prefix: &str, n: usize) -> Result<PlacementResult, PlaceError> {
-    Ok(PlacementResult {
+fn get_result(ck: &Checkpoint, prefix: &str, n: usize) -> Result<PlaceSolution, PlaceError> {
+    Ok(PlaceSolution {
         placement: get_placement(ck, prefix, n)?,
         hpwl: ck.get_f64(&format!("{prefix}hpwl"))?,
         area: ck.get_f64(&format!("{prefix}area"))?,
-        gp_seconds: ck.get_f64(&format!("{prefix}gp_seconds"))?,
-        dp_seconds: ck.get_f64(&format!("{prefix}dp_seconds"))?,
-        gp_iterations: ck.get_u64(&format!("{prefix}gp_iterations"))? as usize,
+        stage1_seconds: ck.get_f64(&format!("{prefix}gp_seconds"))?,
+        stage2_seconds: ck.get_f64(&format!("{prefix}dp_seconds"))?,
+        iterations: ck.get_u64(&format!("{prefix}gp_iterations"))? as usize,
     })
 }
 
@@ -194,7 +140,7 @@ fn get_gp(ck: &Checkpoint, n: usize) -> Result<GpCheckpoint, PlaceError> {
 /// as the (already near-legal) density overflow is under target.
 fn warm_gp_refine(
     config: &PlacerConfig,
-    artifacts: &crate::CircuitArtifacts,
+    artifacts: &CircuitArtifacts,
     warm: &Placement,
     eco: &crate::EcoConfig,
     hook: Option<&mut crate::global::ExtraGradientFn<'_>>,
@@ -295,12 +241,13 @@ fn probe_engine_checkpoint(
 ///
 /// ```
 /// use analog_netlist::testcases;
-/// use eplace::{EPlaceA, PlacerConfig};
+/// use eplace::{EPlaceA, Placer, PlacerConfig, RunBudget};
 ///
 /// # fn main() -> Result<(), eplace::PlaceError> {
 /// let circuit = testcases::adder();
 /// let placer = EPlaceA::new(PlacerConfig::default());
-/// let result = placer.place(&circuit)?;
+/// let outcome = placer.place(&circuit, &RunBudget::unlimited())?;
+/// let result = outcome.solution().expect("an unlimited budget completes");
 /// assert!(result.placement.is_legal(&circuit, 1e-6));
 /// # Ok(())
 /// # }
@@ -321,31 +268,31 @@ impl EPlaceA {
         &self.config
     }
 
-    /// Runs global then detailed placement, keeping the best of
-    /// `restarts` seeded attempts (by area·HPWL product).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlaceError`] from the legalization ILP when every
-    /// restart fails; a single successful restart suffices.
-    pub fn place(&self, circuit: &Circuit) -> Result<PlacementResult, PlaceError> {
-        match self.run_engine(circuit, None, None, None)? {
-            EngineRun::Done(r) => Ok(r),
-            _ => unreachable!("no budget: engine can only complete"),
-        }
+    /// Runs only global placement (for Table IV's shared-GP comparison).
+    pub fn global_only(&self, circuit: &Circuit) -> Placement {
+        GlobalPlacer::new(self.config.global.clone()).run(circuit).0
+    }
+}
+
+impl Placer for EPlaceA {
+    fn name(&self) -> &'static str {
+        "eplace-a"
     }
 
-    fn run_engine(
+    /// Runs global then detailed placement, keeping the best of
+    /// `restarts` seeded attempts (by area·HPWL product); fails only when
+    /// every restart's legalization ILP fails.
+    fn run(
         &self,
-        circuit: &Circuit,
-        budget: Option<&RunBudget>,
+        artifacts: &CircuitArtifacts,
         resume: Option<&Checkpoint>,
-        artifacts: Option<&crate::CircuitArtifacts>,
-    ) -> Result<EngineRun, PlaceError> {
+        budget: &RunBudget,
+    ) -> Result<PlaceOutcome, PlaceError> {
         static SPAN: placer_telemetry::SpanStat = placer_telemetry::SpanStat::new("eplace_a_place");
         let _span = SPAN.enter();
+        let circuit = artifacts.circuit();
         let n = circuit.num_devices();
-        let mut best: Option<PlacementResult> = None;
+        let mut best: Option<PlaceSolution> = None;
         let mut last_err: Option<PlaceError> = None;
         let attempts = self.config.restarts.max(1);
         // Restarts vary both the seed and the GP region utilization — the
@@ -372,9 +319,9 @@ impl EPlaceA {
             let run = GlobalPlacer::new(global_cfg).run_budgeted_with(
                 circuit,
                 None,
-                budget,
+                Some(budget),
                 gp_ck.as_ref(),
-                artifacts,
+                Some(artifacts),
             );
             let gp_seconds = t0.elapsed().as_secs_f64();
             let (gp, stats, gp_exhausted) = match run {
@@ -390,36 +337,18 @@ impl EPlaceA {
                         None => out.put_u64("has_best", 0),
                     }
                     put_gp(&mut out, &gpck);
-                    return Ok(EngineRun::Cancelled(out));
+                    return Ok(PlaceOutcome::Cancelled(out));
                 }
                 GpRun::Complete(gp, stats) => (gp, stats, false),
                 GpRun::Exhausted(gp, stats) => (gp, stats, true),
             };
+            // Deadline hit mid-attempt: an earlier attempt's legal best is
+            // returned as is, without burning more time legalizing the
+            // interrupted (inferior) state.
             if gp_exhausted {
-                // Deadline hit mid-attempt. If an earlier attempt already
-                // produced a legal best, return it without burning more
-                // time legalizing the interrupted (inferior) state;
-                // otherwise legalize the partial GP so the caller still
-                // gets a legal placement.
                 if let Some(b) = best {
-                    return Ok(EngineRun::Exhausted(b));
+                    return Ok(PlaceOutcome::Exhausted(b));
                 }
-                let t1 = Instant::now();
-                let dp_result = if self.config.preserve_gp {
-                    crate::DetailedPlacer::new(self.config.detailed.clone())
-                        .run_preserving(circuit, &gp)
-                } else {
-                    legalize(circuit, &gp, &self.config.detailed)
-                };
-                let (placement, dstats) = dp_result?;
-                return Ok(EngineRun::Exhausted(PlacementResult {
-                    placement,
-                    hpwl: dstats.hpwl,
-                    area: dstats.area,
-                    gp_seconds,
-                    dp_seconds: t1.elapsed().as_secs_f64(),
-                    gp_iterations: stats.iterations,
-                }));
             }
             let t1 = Instant::now();
             let dp_result = if self.config.preserve_gp {
@@ -428,22 +357,36 @@ impl EPlaceA {
             } else {
                 legalize(circuit, &gp, &self.config.detailed)
             };
+            if gp_exhausted {
+                // Otherwise the partial GP is legalized so the caller
+                // still gets a legal placement.
+                let (placement, dstats) = dp_result?;
+                return Ok(PlaceOutcome::Exhausted(PlaceSolution {
+                    placement,
+                    hpwl: dstats.hpwl,
+                    area: dstats.area,
+                    stage1_seconds: gp_seconds,
+                    stage2_seconds: t1.elapsed().as_secs_f64(),
+                    iterations: stats.iterations,
+                }));
+            }
             match dp_result {
                 Ok((placement, dstats)) => {
-                    let candidate = PlacementResult {
+                    let candidate = PlaceSolution {
                         placement,
                         hpwl: dstats.hpwl,
                         area: dstats.area,
-                        gp_seconds: best.as_ref().map_or(0.0, |b| b.gp_seconds) + gp_seconds,
-                        dp_seconds: best.as_ref().map_or(0.0, |b| b.dp_seconds)
+                        stage1_seconds: best.as_ref().map_or(0.0, |b| b.stage1_seconds)
+                            + gp_seconds,
+                        stage2_seconds: best.as_ref().map_or(0.0, |b| b.stage2_seconds)
                             + t1.elapsed().as_secs_f64(),
-                        gp_iterations: stats.iterations,
+                        iterations: stats.iterations,
                     };
-                    let score = |r: &PlacementResult| r.area * r.hpwl;
+                    let score = |r: &PlaceSolution| r.area * r.hpwl;
                     best = match best {
-                        Some(prev) if score(&prev) <= score(&candidate) => Some(PlacementResult {
-                            gp_seconds: candidate.gp_seconds,
-                            dp_seconds: candidate.dp_seconds,
+                        Some(prev) if score(&prev) <= score(&candidate) => Some(PlaceSolution {
+                            stage1_seconds: candidate.stage1_seconds,
+                            stage2_seconds: candidate.stage2_seconds,
                             ..prev
                         }),
                         _ => Some(candidate),
@@ -453,68 +396,14 @@ impl EPlaceA {
             }
         }
         match best {
-            Some(result) => Ok(EngineRun::Done(result)),
+            Some(result) => Ok(PlaceOutcome::Complete(result)),
             None => Err(last_err.expect("at least one attempt ran")),
         }
     }
 
-    /// Runs only global placement (for Table IV's shared-GP comparison).
-    pub fn global_only(&self, circuit: &Circuit) -> Placement {
-        GlobalPlacer::new(self.config.global.clone()).run(circuit).0
-    }
-}
-
-impl Placer for EPlaceA {
-    fn name(&self) -> &'static str {
-        "eplace-a"
-    }
-
-    fn place(&self, circuit: &Circuit, budget: &RunBudget) -> Result<PlaceOutcome, PlaceError> {
-        Ok(self
-            .run_engine(circuit, Some(budget), None, None)?
-            .into_outcome())
-    }
-
-    fn resume(
-        &self,
-        circuit: &Circuit,
-        checkpoint: &Checkpoint,
-        budget: &RunBudget,
-    ) -> Result<PlaceOutcome, PlaceError> {
-        Ok(self
-            .run_engine(circuit, Some(budget), Some(checkpoint), None)?
-            .into_outcome())
-    }
-
-    fn place_artifacts(
-        &self,
-        artifacts: &crate::CircuitArtifacts,
-        budget: &RunBudget,
-    ) -> Result<PlaceOutcome, PlaceError> {
-        Ok(self
-            .run_engine(artifacts.circuit(), Some(budget), None, Some(artifacts))?
-            .into_outcome())
-    }
-
-    fn resume_artifacts(
-        &self,
-        artifacts: &crate::CircuitArtifacts,
-        checkpoint: &Checkpoint,
-        budget: &RunBudget,
-    ) -> Result<PlaceOutcome, PlaceError> {
-        Ok(self
-            .run_engine(
-                artifacts.circuit(),
-                Some(budget),
-                Some(checkpoint),
-                Some(artifacts),
-            )?
-            .into_outcome())
-    }
-
     fn eco_refine(
         &self,
-        artifacts: &crate::CircuitArtifacts,
+        artifacts: &CircuitArtifacts,
         warm: &Placement,
         _dirty: &[bool],
         eco: &crate::EcoConfig,
@@ -550,36 +439,30 @@ impl EPlaceAP {
             network,
         }
     }
+}
+
+impl Placer for EPlaceAP {
+    fn name(&self) -> &'static str {
+        "eplace-ap"
+    }
 
     /// Runs performance-driven global placement then the (identical)
     /// detailed placement of ePlace-A, keeping the best of `restarts`
     /// seeded attempts. The selection score multiplies area·HPWL by the
     /// model's predicted failure probability Φ of the final placement, so
     /// the restart machinery optimizes the same blend as the objective.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlaceError`] from the legalization ILP when every
-    /// restart fails.
-    pub fn place(&self, circuit: &Circuit) -> Result<PlacementResult, PlaceError> {
-        match self.run_engine(circuit, None, None, None)? {
-            EngineRun::Done(r) => Ok(r),
-            _ => unreachable!("no budget: engine can only complete"),
-        }
-    }
-
-    fn run_engine(
+    fn run(
         &self,
-        circuit: &Circuit,
-        budget: Option<&RunBudget>,
+        artifacts: &CircuitArtifacts,
         resume: Option<&Checkpoint>,
-        artifacts: Option<&crate::CircuitArtifacts>,
-    ) -> Result<EngineRun, PlaceError> {
+        budget: &RunBudget,
+    ) -> Result<PlaceOutcome, PlaceError> {
         static SPAN: placer_telemetry::SpanStat =
             placer_telemetry::SpanStat::new("eplace_ap_place");
         let _span = SPAN.enter();
+        let circuit = artifacts.circuit();
         let n = circuit.num_devices();
-        let mut best: Option<(f64, PlacementResult)> = None;
+        let mut best: Option<(f64, PlaceSolution)> = None;
         let mut last_err: Option<PlaceError> = None;
         let mut total_gp = 0.0;
         let mut total_dp = 0.0;
@@ -622,15 +505,12 @@ impl EPlaceAP {
             // attempt's first gradient call); a resumed attempt inherits
             // the interrupted attempt's normalization from the checkpoint
             // so its stream continues exactly.
-            let mut hook_state = match artifacts {
-                Some(a) => PerfGradHook::with_topology(
-                    &a.topology(),
-                    &self.network,
-                    perf_cfg.alpha,
-                    perf_cfg.scale,
-                ),
-                None => PerfGradHook::new(circuit, &self.network, perf_cfg.alpha, perf_cfg.scale),
-            };
+            let mut hook_state = PerfGradHook::with_topology(
+                &artifacts.topology(),
+                &self.network,
+                perf_cfg.alpha,
+                perf_cfg.scale,
+            );
             if let Some(alpha_abs) = alpha_resume.take() {
                 hook_state.set_alpha_abs(alpha_abs);
             }
@@ -640,9 +520,9 @@ impl EPlaceAP {
             let run = GlobalPlacer::new(global_cfg).run_budgeted_with(
                 circuit,
                 Some(&mut hook),
-                budget,
+                Some(budget),
                 gp_ck.as_ref(),
-                artifacts,
+                Some(artifacts),
             );
             total_gp += t0.elapsed().as_secs_f64();
             let (gp, stats, gp_exhausted) = match run {
@@ -664,28 +544,28 @@ impl EPlaceAP {
                         out.put_f64("ap_alpha_abs", alpha_abs);
                     }
                     put_gp(&mut out, &gpck);
-                    return Ok(EngineRun::Cancelled(out));
+                    return Ok(PlaceOutcome::Cancelled(out));
                 }
                 GpRun::Complete(gp, stats) => (gp, stats, false),
                 GpRun::Exhausted(gp, stats) => (gp, stats, true),
             };
             if gp_exhausted {
                 if let Some((_, mut b)) = best {
-                    b.gp_seconds = total_gp;
-                    b.dp_seconds = total_dp;
-                    return Ok(EngineRun::Exhausted(b));
+                    b.stage1_seconds = total_gp;
+                    b.stage2_seconds = total_dp;
+                    return Ok(PlaceOutcome::Exhausted(b));
                 }
                 let t1 = Instant::now();
                 let dp = crate::DetailedPlacer::new(self.config.detailed.clone());
                 let (placement, dstats) = dp.run_preserving(circuit, &gp)?;
                 total_dp += t1.elapsed().as_secs_f64();
-                return Ok(EngineRun::Exhausted(PlacementResult {
+                return Ok(PlaceOutcome::Exhausted(PlaceSolution {
                     placement,
                     hpwl: dstats.hpwl,
                     area: dstats.area,
-                    gp_seconds: total_gp,
-                    dp_seconds: total_dp,
-                    gp_iterations: stats.iterations,
+                    stage1_seconds: total_gp,
+                    stage2_seconds: total_dp,
+                    iterations: stats.iterations,
                 }));
             }
             let t1 = Instant::now();
@@ -693,113 +573,52 @@ impl EPlaceAP {
             // the GP's relative ordering, which the reassignment passes of
             // the conventional flow would discard.
             let dp = crate::DetailedPlacer::new(self.config.detailed.clone());
-            match dp.run_preserving(circuit, &gp) {
+            let dp_result = dp.run_preserving(circuit, &gp);
+            total_dp += t1.elapsed().as_secs_f64();
+            match dp_result {
                 Ok((placement, dstats)) => {
-                    total_dp += t1.elapsed().as_secs_f64();
                     let g = match graph.as_mut() {
                         Some(g) => {
                             g.update_positions(&placement);
                             g
                         }
-                        None => {
-                            graph = Some(match artifacts {
-                                Some(a) => placer_gnn::CircuitGraph::from_topology(
-                                    &a.topology(),
-                                    &placement.positions,
-                                    self.perf.scale,
-                                ),
-                                None => placer_gnn::CircuitGraph::new(
-                                    circuit,
-                                    &placement,
-                                    self.perf.scale,
-                                ),
-                            });
-                            graph.as_mut().expect("just inserted")
-                        }
+                        None => graph.insert(placer_gnn::CircuitGraph::from_topology(
+                            &artifacts.topology(),
+                            &placement.positions,
+                            self.perf.scale,
+                        )),
                     };
                     let phi = self.network.predict_with(g, &mut scratch);
                     let score = dstats.area * dstats.hpwl * (0.3 + phi);
-                    let candidate = PlacementResult {
+                    let candidate = PlaceSolution {
                         placement,
                         hpwl: dstats.hpwl,
                         area: dstats.area,
-                        gp_seconds: total_gp,
-                        dp_seconds: total_dp,
-                        gp_iterations: stats.iterations,
+                        stage1_seconds: total_gp,
+                        stage2_seconds: total_dp,
+                        iterations: stats.iterations,
                     };
                     best = match best {
                         Some((best_score, prev)) if best_score <= score => Some((best_score, prev)),
                         _ => Some((score, candidate)),
                     };
                 }
-                Err(e) => {
-                    total_dp += t1.elapsed().as_secs_f64();
-                    last_err = Some(e);
-                }
+                Err(e) => last_err = Some(e),
             }
         }
         match best {
             Some((_, mut result)) => {
-                result.gp_seconds = total_gp;
-                result.dp_seconds = total_dp;
-                Ok(EngineRun::Done(result))
+                result.stage1_seconds = total_gp;
+                result.stage2_seconds = total_dp;
+                Ok(PlaceOutcome::Complete(result))
             }
             None => Err(last_err.expect("at least one attempt ran")),
         }
     }
-}
-
-impl Placer for EPlaceAP {
-    fn name(&self) -> &'static str {
-        "eplace-ap"
-    }
-
-    fn place(&self, circuit: &Circuit, budget: &RunBudget) -> Result<PlaceOutcome, PlaceError> {
-        Ok(self
-            .run_engine(circuit, Some(budget), None, None)?
-            .into_outcome())
-    }
-
-    fn resume(
-        &self,
-        circuit: &Circuit,
-        checkpoint: &Checkpoint,
-        budget: &RunBudget,
-    ) -> Result<PlaceOutcome, PlaceError> {
-        Ok(self
-            .run_engine(circuit, Some(budget), Some(checkpoint), None)?
-            .into_outcome())
-    }
-
-    fn place_artifacts(
-        &self,
-        artifacts: &crate::CircuitArtifacts,
-        budget: &RunBudget,
-    ) -> Result<PlaceOutcome, PlaceError> {
-        Ok(self
-            .run_engine(artifacts.circuit(), Some(budget), None, Some(artifacts))?
-            .into_outcome())
-    }
-
-    fn resume_artifacts(
-        &self,
-        artifacts: &crate::CircuitArtifacts,
-        checkpoint: &Checkpoint,
-        budget: &RunBudget,
-    ) -> Result<PlaceOutcome, PlaceError> {
-        Ok(self
-            .run_engine(
-                artifacts.circuit(),
-                Some(budget),
-                Some(checkpoint),
-                Some(artifacts),
-            )?
-            .into_outcome())
-    }
 
     fn eco_refine(
         &self,
-        artifacts: &crate::CircuitArtifacts,
+        artifacts: &CircuitArtifacts,
         warm: &Placement,
         _dirty: &[bool],
         eco: &crate::EcoConfig,
@@ -832,12 +651,16 @@ mod tests {
     use super::*;
     use analog_netlist::testcases;
 
+    fn solve(placer: &dyn Placer, circuit: &Circuit) -> PlaceSolution {
+        let outcome = placer.place(circuit, &RunBudget::unlimited()).unwrap();
+        assert!(outcome.is_complete(), "an unlimited budget completes");
+        outcome.solution().cloned().unwrap()
+    }
+
     #[test]
     fn eplace_a_produces_legal_placements() {
         for circuit in [testcases::adder(), testcases::cc_ota()] {
-            let result = EPlaceA::new(PlacerConfig::default())
-                .place(&circuit)
-                .unwrap();
+            let result = solve(&EPlaceA::new(PlacerConfig::default()), &circuit);
             assert!(
                 result.placement.is_legal(&circuit, 1e-6),
                 "{} produced illegal placement",
@@ -853,7 +676,7 @@ mod tests {
         let circuit = testcases::adder();
         let network = Network::default_config(2);
         let placer = EPlaceAP::new(PlacerConfig::default(), PerfConfig::new(0.5, 20.0), network);
-        let result = placer.place(&circuit).unwrap();
+        let result = solve(&placer, &circuit);
         assert!(result.placement.is_legal(&circuit, 1e-6));
     }
 
@@ -866,64 +689,54 @@ mod tests {
     }
 
     #[test]
-    fn trait_place_with_unlimited_budget_matches_legacy() {
-        let circuit = testcases::adder();
-        let placer = EPlaceA::new(small_config());
-        let legacy = placer.place(&circuit).unwrap();
-        let outcome = Placer::place(&placer, &circuit, &RunBudget::unlimited()).unwrap();
-        let sol = outcome.solution().expect("unlimited budget completes");
-        assert!(outcome.is_complete());
-        assert_eq!(sol.placement, legacy.placement);
-        assert_eq!(sol.hpwl.to_bits(), legacy.hpwl.to_bits());
-    }
-
-    #[test]
     fn eplace_a_cancel_resume_is_bit_identical() {
         let circuit = testcases::adder();
+        let artifacts = CircuitArtifacts::build(circuit.clone());
         let placer = EPlaceA::new(small_config());
-        let legacy = placer.place(&circuit).unwrap();
+        let reference = solve(&placer, &circuit);
         // Cancel inside the second attempt's GP as well as the first's.
         for cancel_at in [3, 95] {
             let budget = RunBudget::unlimited();
             budget.cancel_after_checks(cancel_at);
-            let outcome = Placer::place(&placer, &circuit, &budget).unwrap();
+            let outcome = placer.run(&artifacts, None, &budget).unwrap();
             let ck = outcome.checkpoint().expect("cancelled").clone();
             // Roundtrip through the text codec like the job engine does.
             let ck = Checkpoint::decode(&ck.encode()).unwrap();
             let resumed = placer
-                .resume(&circuit, &ck, &RunBudget::unlimited())
+                .run(&artifacts, Some(&ck), &RunBudget::unlimited())
                 .unwrap();
             let sol = resumed.solution().expect("resume completes");
             assert!(resumed.is_complete());
             assert_eq!(
-                sol.placement, legacy.placement,
+                sol.placement, reference.placement,
                 "resume after cancel at check {cancel_at} diverged"
             );
-            assert_eq!(sol.hpwl.to_bits(), legacy.hpwl.to_bits());
+            assert_eq!(sol.hpwl.to_bits(), reference.hpwl.to_bits());
         }
     }
 
     #[test]
     fn eplace_ap_cancel_resume_is_bit_identical() {
         let circuit = testcases::adder();
+        let artifacts = CircuitArtifacts::build(circuit.clone());
         let network = Network::default_config(2);
         let placer = EPlaceAP::new(small_config(), PerfConfig::new(0.5, 20.0), network);
-        let legacy = placer.place(&circuit).unwrap();
+        let reference = solve(&placer, &circuit);
         for cancel_at in [0, 11, 90] {
             let budget = RunBudget::unlimited();
             budget.cancel_after_checks(cancel_at);
-            let outcome = Placer::place(&placer, &circuit, &budget).unwrap();
+            let outcome = placer.run(&artifacts, None, &budget).unwrap();
             let ck = outcome.checkpoint().expect("cancelled").clone();
             let ck = Checkpoint::decode(&ck.encode()).unwrap();
             let resumed = placer
-                .resume(&circuit, &ck, &RunBudget::unlimited())
+                .run(&artifacts, Some(&ck), &RunBudget::unlimited())
                 .unwrap();
             let sol = resumed.solution().expect("resume completes");
             assert_eq!(
-                sol.placement, legacy.placement,
+                sol.placement, reference.placement,
                 "resume after cancel at check {cancel_at} diverged"
             );
-            assert_eq!(sol.hpwl.to_bits(), legacy.hpwl.to_bits());
+            assert_eq!(sol.hpwl.to_bits(), reference.hpwl.to_bits());
         }
     }
 
@@ -934,7 +747,7 @@ mod tests {
         // Exhaust mid-first-attempt (forces partial-GP legalization) and
         // mid-second-attempt (returns the first attempt's best).
         for steps in [4, 95] {
-            let outcome = Placer::place(&placer, &circuit, &RunBudget::steps(steps)).unwrap();
+            let outcome = placer.place(&circuit, &RunBudget::steps(steps)).unwrap();
             assert!(outcome.is_exhausted(), "steps {steps}");
             let sol = outcome.solution().unwrap();
             assert!(
@@ -948,8 +761,8 @@ mod tests {
     fn eco_replace_fast_path_is_legal_and_fallback_matches_cold() {
         let circuit = testcases::cc_ota();
         let placer = EPlaceA::new(small_config());
-        let artifacts = crate::CircuitArtifacts::build(circuit.clone());
-        let cold = placer.place(&circuit).unwrap();
+        let artifacts = CircuitArtifacts::build(circuit.clone());
+        let cold = solve(&placer, &circuit);
         let warm = crate::eco::warm_checkpoint(&circuit, &cold.placement);
         let delta = analog_netlist::NetlistDelta::parse("resize RB 18k\n").unwrap();
 
@@ -979,7 +792,7 @@ mod tests {
             .unwrap();
         assert!(!rep2.outcome.is_fast());
         let applied = delta.apply(&circuit).unwrap();
-        let cold_edit = placer.place(&applied.circuit).unwrap();
+        let cold_edit = solve(&placer, &applied.circuit);
         let fb = rep2.outcome.solution().unwrap();
         assert_eq!(fb.placement, cold_edit.placement);
         assert_eq!(fb.hpwl.to_bits(), cold_edit.hpwl.to_bits());
@@ -988,15 +801,16 @@ mod tests {
     #[test]
     fn resume_rejects_foreign_checkpoints() {
         let circuit = testcases::adder();
+        let artifacts = CircuitArtifacts::build(circuit.clone());
         let placer = EPlaceA::new(small_config());
         let budget = RunBudget::unlimited();
         budget.cancel_after_checks(2);
-        let outcome = Placer::place(&placer, &circuit, &budget).unwrap();
+        let outcome = placer.run(&artifacts, None, &budget).unwrap();
         let ck = outcome.checkpoint().unwrap();
         let network = Network::default_config(2);
         let ap = EPlaceAP::new(small_config(), PerfConfig::new(0.5, 20.0), network);
         let err = ap
-            .resume(&circuit, ck, &RunBudget::unlimited())
+            .run(&artifacts, Some(ck), &RunBudget::unlimited())
             .unwrap_err();
         assert!(matches!(err, PlaceError::BadCheckpoint(_)));
     }

@@ -3,19 +3,19 @@
 //! Every pipeline in the workspace — `EPlaceA`, `EPlaceAP` (this crate),
 //! `SaPlacer` (`placer-sa`) and `Xu19Placer` (`placer-xu19`) — implements
 //! [`Placer`], so job engines and benchmarks can hold a
-//! `&dyn Placer` and not care which algorithm is behind it. The trait
-//! methods take a [`RunBudget`](crate::RunBudget) and return a
-//! [`PlaceOutcome`]:
+//! `&dyn Placer` and not care which algorithm is behind it. The one run
+//! method, [`Placer::run`], takes a circuit's
+//! [`CircuitArtifacts`], an optional [`Checkpoint`] to resume from and a
+//! [`RunBudget`](crate::RunBudget), and returns a [`PlaceOutcome`]:
 //!
 //! - [`Complete`](PlaceOutcome::Complete): the algorithm ran to its
-//!   natural convergence. With an unlimited budget this is bit-identical
-//!   to the pipeline's legacy entry point.
+//!   natural convergence. An unlimited budget always ends here.
 //! - [`Exhausted`](PlaceOutcome::Exhausted): the budget expired; the
 //!   solution is the best-so-far state, **legalized** — callers can always
 //!   tape it out, it is just potentially worse than a full run.
 //! - [`Cancelled`](PlaceOutcome::Cancelled): cooperative cancellation hit
-//!   first; the payload is a [`Checkpoint`](crate::Checkpoint) from which
-//!   [`Placer::resume`] reproduces the uninterrupted run bit-for-bit.
+//!   first; the payload is a [`Checkpoint`] from which [`Placer::run`]
+//!   reproduces the uninterrupted run bit-for-bit.
 
 use crate::artifacts::CircuitArtifacts;
 use crate::checkpoint::Checkpoint;
@@ -119,59 +119,45 @@ impl PlaceOutcome {
 ///
 /// Implementations must uphold three contracts:
 ///
-/// 1. **Unlimited budget ≡ legacy run.** With
+/// 1. **An unlimited budget completes.** With
 ///    [`RunBudget::unlimited`](crate::RunBudget::unlimited) and no
-///    cancellation, the returned solution is bit-identical to the
-///    pipeline's original entry point for the same config and seed.
+///    cancellation, the outcome is [`PlaceOutcome::Complete`].
 /// 2. **Exhausted is legal.** When the budget expires the placer
 ///    legalizes its best-so-far state before returning, so the
 ///    placement in [`PlaceOutcome::Exhausted`] satisfies the same
 ///    legality invariants as a complete run.
-/// 3. **Resume is exact.** `place` until cancelled, then `resume` from
+/// 3. **Resume is exact.** `run` until cancelled, then `run` again from
 ///    the returned checkpoint (any number of times, at any boundary),
 ///    yields the same final placement — bit-for-bit — as a single
-///    uninterrupted `place`.
+///    uninterrupted `run`.
 pub trait Placer: Sync {
     /// Stable machine-readable identifier (`"eplace-a"`, `"sa"`, ...);
     /// stamped into checkpoints and job reports.
     fn name(&self) -> &'static str;
 
-    /// Runs placement under `budget`.
-    fn place(&self, circuit: &Circuit, budget: &RunBudget) -> Result<PlaceOutcome, PlaceError>;
-
-    /// Continues a cancelled run from `checkpoint` under a fresh budget.
-    fn resume(
+    /// Runs placement of `artifacts.circuit()` under `budget`, continuing
+    /// a cancelled run when `resume` holds its checkpoint.
+    ///
+    /// The artifacts carry circuit-derived state (net index, GNN topology,
+    /// density plans, placer extensions) that the run reuses instead of
+    /// rebuilding; they never change what the run computes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PlaceError::BadCheckpoint`] when `resume` was written by
+    /// another placer or for another circuit or config, or any error the
+    /// placer's legalization surfaces.
+    fn run(
         &self,
-        circuit: &Circuit,
-        checkpoint: &Checkpoint,
+        artifacts: &CircuitArtifacts,
+        resume: Option<&Checkpoint>,
         budget: &RunBudget,
     ) -> Result<PlaceOutcome, PlaceError>;
 
-    /// Runs placement against pre-built shared artifacts.
-    ///
-    /// Must be bit-identical to [`place`](Self::place) on
-    /// `artifacts.circuit()` — the artifacts carry exactly the state the
-    /// cold path would rebuild. The default implementation simply delegates
-    /// (correct, but amortizes nothing); implementations override it to
-    /// reuse the shared plans.
-    fn place_artifacts(
-        &self,
-        artifacts: &CircuitArtifacts,
-        budget: &RunBudget,
-    ) -> Result<PlaceOutcome, PlaceError> {
-        self.place(artifacts.circuit(), budget)
-    }
-
-    /// Continues a cancelled run from `checkpoint` against pre-built shared
-    /// artifacts; same contract as [`place_artifacts`](Self::place_artifacts)
-    /// relative to [`resume`](Self::resume).
-    fn resume_artifacts(
-        &self,
-        artifacts: &CircuitArtifacts,
-        checkpoint: &Checkpoint,
-        budget: &RunBudget,
-    ) -> Result<PlaceOutcome, PlaceError> {
-        self.resume(artifacts.circuit(), checkpoint, budget)
+    /// Places `circuit` from scratch under `budget`: [`run`](Self::run) on
+    /// freshly built artifacts.
+    fn place(&self, circuit: &Circuit, budget: &RunBudget) -> Result<PlaceOutcome, PlaceError> {
+        self.run(&CircuitArtifacts::build(circuit.clone()), None, budget)
     }
 
     /// Incrementally re-places after an ECO delta.
@@ -183,9 +169,9 @@ pub trait Placer: Sync {
     /// 1. apply `delta` and **patch** `artifacts` (no rebuild);
     /// 2. if the delta dirtied more than
     ///    [`EcoConfig::dirty_threshold`] of the devices, fall back to a
-    ///    cold [`place_artifacts`](Self::place_artifacts) on the patched
-    ///    bundle — bit-identical to placing the edited circuit from
-    ///    scratch ([`EcoOutcome::FellBack`]);
+    ///    cold [`run`](Self::run) on the patched bundle — bit-identical
+    ///    to placing the edited circuit from scratch
+    ///    ([`EcoOutcome::FellBack`]);
     /// 3. otherwise map `warm_start` (an `"eco-warm"` checkpoint from
     ///    [`eco::warm_checkpoint`]) onto the edited circuit, run the
     ///    placer's short warm refinement, and re-legalize only the
@@ -207,7 +193,7 @@ pub trait Placer: Sync {
         let (patched, applied) = eco::prepare(artifacts, delta)?;
         let dirty_fraction = applied.dirty_fraction();
         if dirty_fraction > eco.dirty_threshold {
-            let outcome = self.place_artifacts(&patched, budget)?;
+            let outcome = self.run(&patched, None, budget)?;
             return Ok(EcoReplace {
                 artifacts: patched,
                 dirty_fraction,

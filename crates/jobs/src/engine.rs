@@ -50,7 +50,7 @@ const AP_NETWORK_SEED: u64 = 2;
 /// Builds the placer a spec names.
 ///
 /// With `seed: None` every config keeps its `Default` values, so an
-/// unbudgeted job is bit-identical to the pipeline's legacy entry point;
+/// unbudgeted job is bit-identical to placing with the default placer;
 /// `Some(seed)` overrides only the seed. Returns the placer and the seed it
 /// will actually run with (used for retry rotation and the report).
 ///
@@ -246,7 +246,7 @@ pub struct JobEngine {
     /// Compiled-artifact cache shared by every job in the batch: circuits
     /// are parsed and their derived plans built once per distinct netlist,
     /// then handed to placers through
-    /// [`Placer::place_artifacts`](eplace::Placer::place_artifacts).
+    /// [`Placer::run`](eplace::Placer::run).
     /// Results (and reports) are bit-identical to cold builds — the
     /// artifacts are pure functions of the circuit. Cloning the engine
     /// shares the cache.
@@ -364,10 +364,7 @@ impl JobEngine {
 
             let budget = make_budget(spec, self.preempt.as_ref());
             let start = Instant::now();
-            let result = match &resume_ck {
-                Some(ck) => placer.resume_artifacts(&artifacts, ck, &budget),
-                None => placer.place_artifacts(&artifacts, &budget),
-            };
+            let result = placer.run(&artifacts, resume_ck.as_ref(), &budget);
             report.wall_ms = start.elapsed().as_secs_f64() * 1e3;
             match result {
                 Ok(outcome) => {
@@ -563,8 +560,8 @@ mod tests {
     }
 
     #[test]
-    fn unbudgeted_job_matches_the_legacy_pipeline_bit_for_bit() {
-        let spec = small_sa_spec("legacy");
+    fn unbudgeted_job_matches_a_direct_place_bit_for_bit() {
+        let spec = small_sa_spec("direct");
         let report = JobEngine::default().run_job(&spec);
         assert_eq!(report.status, JobStatus::Complete);
         assert_eq!(report.legal, Some(true));
@@ -575,9 +572,12 @@ mod tests {
             .build()
             .unwrap();
         let circuit = testcases::adder();
-        let legacy = SaPlacer::new(cfg).place(&circuit).unwrap();
-        assert_eq!(report.hpwl.unwrap().to_bits(), legacy.hpwl.to_bits());
-        assert_eq!(report.area.unwrap().to_bits(), legacy.area.to_bits());
+        let outcome = SaPlacer::new(cfg)
+            .place(&circuit, &RunBudget::unlimited())
+            .unwrap();
+        let direct = outcome.solution().unwrap();
+        assert_eq!(report.hpwl.unwrap().to_bits(), direct.hpwl.to_bits());
+        assert_eq!(report.area.unwrap().to_bits(), direct.area.to_bits());
         assert_eq!(report.seed, 7, "default SA seed is reported");
     }
 
@@ -674,17 +674,10 @@ mod tests {
             fn name(&self) -> &'static str {
                 "failing"
             }
-            fn place(
+            fn run(
                 &self,
-                _circuit: &Circuit,
-                _budget: &RunBudget,
-            ) -> Result<PlaceOutcome, eplace::PlaceError> {
-                Err(eplace::PlaceError::RefinementExhausted)
-            }
-            fn resume(
-                &self,
-                _circuit: &Circuit,
-                _checkpoint: &Checkpoint,
+                _artifacts: &eplace::CircuitArtifacts,
+                _resume: Option<&Checkpoint>,
                 _budget: &RunBudget,
             ) -> Result<PlaceOutcome, eplace::PlaceError> {
                 Err(eplace::PlaceError::RefinementExhausted)
@@ -750,8 +743,8 @@ mod tests {
             report.wall_ms = 0.0;
             again.wall_ms = 0.0;
             assert_eq!(report.to_line(), again.to_line(), "{placer_name}");
-            // And both must match the cache-free legacy trait path bit
-            // for bit — artifacts change where bytes live, not results.
+            // And both must match a cold `place` on fresh artifacts bit
+            // for bit — the cache changes where bytes live, not results.
             let (placer, seed) = make_placer(placer_name, spec.profile, None).unwrap();
             let circuit = testcases::testcase_by_name(circuit_name).unwrap();
             let outcome = placer.place(&circuit, &RunBudget::unlimited()).unwrap();

@@ -69,7 +69,7 @@ proptest! {
 
         let artifacts = CircuitArtifacts::build(circuit.clone());
         let base = p
-            .place_artifacts(&artifacts, &RunBudget::unlimited())
+            .run(&artifacts, None, &RunBudget::unlimited())
             .expect("base place succeeds");
         let warm = eco::warm_checkpoint(
             &circuit,
@@ -123,7 +123,7 @@ proptest! {
 
             let artifacts = CircuitArtifacts::build(circuit.clone());
             let base = p
-                .place_artifacts(&artifacts, &RunBudget::unlimited())
+                .run(&artifacts, None, &RunBudget::unlimited())
                 .expect("base place succeeds");
             let warm = eco::warm_checkpoint(
                 &circuit,

@@ -5,7 +5,7 @@
 //! on the exact placer configurations the engine runs.
 
 use analog_netlist::{testcases, Circuit};
-use eplace::{PlaceOutcome, Placer, RunBudget};
+use eplace::{CircuitArtifacts, PlaceOutcome, Placer, RunBudget};
 use placer_jobs::{make_placer, Profile};
 use proptest::prelude::*;
 
@@ -52,16 +52,16 @@ proptest! {
     /// for every placer the engine can build.
     #[test]
     fn cancel_then_resume_is_bit_identical(placer in 0usize..4, cancel_at in 1u64..12) {
-        let circuit = testcases::adder();
+        let artifacts = CircuitArtifacts::build(testcases::adder());
         let p = build(placer);
 
         let reference = p
-            .place(&circuit, &RunBudget::unlimited())
+            .run(&artifacts, None, &RunBudget::unlimited())
             .expect("uninterrupted run succeeds");
 
         let budget = RunBudget::unlimited();
         budget.cancel_after_checks(cancel_at);
-        let first = p.place(&circuit, &budget).expect("cancelled run succeeds");
+        let first = p.run(&artifacts, None, &budget).expect("cancelled run succeeds");
         match first {
             // The run finished before check `cancel_at`: nothing to resume,
             // but determinism must still hold.
@@ -70,7 +70,7 @@ proptest! {
             }
             PlaceOutcome::Cancelled(ck) => {
                 let resumed = p
-                    .resume(&circuit, &ck, &RunBudget::unlimited())
+                    .run(&artifacts, Some(&ck), &RunBudget::unlimited())
                     .expect("resume succeeds");
                 prop_assert!(resumed.is_complete(), "resume under unlimited budget completes");
                 assert_bit_identical(&resumed, &reference, PLACERS[placer]);

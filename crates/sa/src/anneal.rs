@@ -443,7 +443,7 @@ pub enum AnnealRun {
     /// The budget expired; best-so-far across chains (states are packings,
     /// so the placement is overlap-free and symmetric like any SA output).
     Exhausted(AnnealResult),
-    /// Cancelled; feed the checkpoint back to [`anneal_budgeted`] to
+    /// Cancelled; feed the checkpoint back to [`anneal_budgeted_with`] to
     /// finish the run bit-for-bit.
     Cancelled(SaCheckpoint),
 }
@@ -485,27 +485,15 @@ pub fn anneal(circuit: &Circuit, config: &SaConfig, perf: Option<PerfCost<'_>>) 
     }
 }
 
-/// [`anneal`] under a [`RunBudget`], optionally resuming a cancelled run.
+/// [`anneal`] under a [`RunBudget`], optionally resuming a cancelled run,
+/// over optional pre-built shared artifacts.
 ///
 /// The budget is checked once per temperature level per chain — the same
-/// granularity the checkpoints are cut at — never per move. With an
-/// unlimited budget and no resume this is bit-identical to [`anneal`].
-pub fn anneal_budgeted(
-    circuit: &Circuit,
-    config: &SaConfig,
-    perf: Option<PerfCost<'_>>,
-    budget: &RunBudget,
-    resume: Option<&SaCheckpoint>,
-) -> AnnealRun {
-    anneal_budgeted_with(circuit, config, perf, budget, resume, None)
-}
-
-/// [`anneal_budgeted`] over optional pre-built shared artifacts — the
-/// amortized path for batched sweeps. With `shared` present the chains use
-/// its [`BlockModel`]/[`EvalTables`](crate::EvalTables) instead of
-/// rebuilding them; both are pure functions of the circuit, so the run is
-/// bit-identical to [`anneal_budgeted`] (`shared` must have been built for
-/// this circuit).
+/// granularity the checkpoints are cut at — never per move. With `shared`
+/// present the chains use its [`BlockModel`]/[`EvalTables`](crate::EvalTables)
+/// instead of rebuilding them (`shared` must have been built for this
+/// circuit). Both are pure functions of the circuit, so with an unlimited
+/// budget and no resume the run is bit-identical to [`anneal`].
 pub fn anneal_budgeted_with(
     circuit: &Circuit,
     config: &SaConfig,
@@ -554,7 +542,7 @@ pub fn anneal_reference(
 
 /// [`anneal_reference`] under a [`RunBudget`] — the budgeted oracle.
 ///
-/// Checkpoints are interchangeable with [`anneal_budgeted`]'s: a chain
+/// Checkpoints are interchangeable with [`anneal_budgeted_with`]'s: a chain
 /// frozen by one engine resumes bit-identically on the other, because both
 /// store only the committed state and the RNG words.
 pub fn anneal_reference_budgeted(
@@ -575,7 +563,7 @@ pub fn anneal_reference_budgeted(
     )
 }
 
-/// Multi-chain dispatch shared by the budgeted and legacy entry points.
+/// Multi-chain dispatch shared by the budgeted and unbudgeted entry points.
 fn anneal_multi(
     circuit: &Circuit,
     config: &SaConfig,
@@ -1304,7 +1292,7 @@ mod tests {
         let cfg = quick_config();
         let legacy = anneal(&c, &cfg, None);
         let AnnealRun::Complete(budgeted) =
-            anneal_budgeted(&c, &cfg, None, &RunBudget::unlimited(), None)
+            anneal_budgeted_with(&c, &cfg, None, &RunBudget::unlimited(), None, None)
         else {
             panic!("unlimited budget must complete");
         };
@@ -1325,7 +1313,8 @@ mod tests {
 
         let budget = RunBudget::unlimited();
         budget.cancel_after_checks(11);
-        let AnnealRun::Cancelled(ck) = anneal_budgeted(&c, &cfg, None, &budget, None) else {
+        let AnnealRun::Cancelled(ck) = anneal_budgeted_with(&c, &cfg, None, &budget, None, None)
+        else {
             panic!("expected cancellation at check 11");
         };
         let AnnealRun::Complete(resumed) =
@@ -1350,7 +1339,7 @@ mod tests {
         for _ in 0..64 {
             let budget = RunBudget::unlimited();
             budget.cancel_after_checks(4);
-            match anneal_budgeted(&c, &cfg, None, &budget, resume.as_ref()) {
+            match anneal_budgeted_with(&c, &cfg, None, &budget, resume.as_ref(), None) {
                 AnnealRun::Cancelled(ck) => resume = Some(ck),
                 AnnealRun::Complete(r) => {
                     final_result = Some(r);
@@ -1369,7 +1358,8 @@ mod tests {
     fn exhausted_budget_returns_best_so_far() {
         let c = testcases::adder();
         let cfg = quick_config();
-        let AnnealRun::Exhausted(r) = anneal_budgeted(&c, &cfg, None, &RunBudget::steps(5), None)
+        let AnnealRun::Exhausted(r) =
+            anneal_budgeted_with(&c, &cfg, None, &RunBudget::steps(5), None, None)
         else {
             panic!("a 5-level budget cannot finish 30 levels");
         };

@@ -13,47 +13,12 @@ use eplace::{
 use placer_gnn::Network;
 
 use crate::anneal::{
-    anneal, anneal_budgeted_with, AnnealRun, ChainCheckpoint, ChainEntry, PerfCost, SaCheckpoint,
-    SaConfig, SaCost, SaState,
+    anneal_budgeted_with, AnnealRun, ChainCheckpoint, ChainEntry, PerfCost, SaCheckpoint, SaConfig,
+    SaCost, SaState,
 };
-use crate::island::BlockModel;
 use crate::repair::repair_placement;
 use crate::seqpair::SequencePair;
 use crate::shared::SaShared;
-
-/// Result of a full SA placement run.
-#[derive(Debug, Clone)]
-pub struct SaResult {
-    /// Final legal placement (after LP constraint repair).
-    pub placement: Placement,
-    /// Exact HPWL (µm).
-    pub hpwl: f64,
-    /// Bounding-box area (µm²).
-    pub area: f64,
-    /// Annealing wall time (s).
-    pub anneal_seconds: f64,
-    /// Repair wall time (s).
-    pub repair_seconds: f64,
-    /// Moves attempted by the annealer.
-    pub moves: usize,
-    /// GNN performance probability of the annealed state (perf runs only).
-    pub phi: f64,
-}
-
-impl SaResult {
-    /// Converts into the unified [`PlaceSolution`] (annealing is stage 1,
-    /// LP repair is stage 2, moves are the iteration count).
-    pub fn into_solution(self) -> PlaceSolution {
-        PlaceSolution {
-            placement: self.placement,
-            hpwl: self.hpwl,
-            area: self.area,
-            stage1_seconds: self.anneal_seconds,
-            stage2_seconds: self.repair_seconds,
-            iterations: self.moves,
-        }
-    }
-}
 
 /// The simulated-annealing analog placer baseline.
 ///
@@ -61,12 +26,14 @@ impl SaResult {
 ///
 /// ```
 /// use analog_netlist::testcases;
+/// use eplace::{Placer, RunBudget};
 /// use placer_sa::{SaConfig, SaPlacer};
 ///
 /// # fn main() -> Result<(), eplace::PlaceError> {
 /// let circuit = testcases::adder();
 /// let config = SaConfig { temperatures: 20, moves_per_temperature: 30, ..SaConfig::default() };
-/// let result = SaPlacer::new(config).place(&circuit)?;
+/// let outcome = SaPlacer::new(config).place(&circuit, &RunBudget::unlimited())?;
+/// let result = outcome.solution().expect("an unlimited budget completes");
 /// assert!(result.placement.is_legal(&circuit, 1e-6));
 /// # Ok(())
 /// # }
@@ -83,45 +50,6 @@ impl SaPlacer {
         Self { config }
     }
 
-    fn finish(
-        &self,
-        circuit: &Circuit,
-        annealed: crate::anneal::AnnealResult,
-        anneal_seconds: f64,
-    ) -> Result<SaResult, PlaceError> {
-        static SPAN: placer_telemetry::SpanStat = placer_telemetry::SpanStat::new("sa_repair");
-        let _span = SPAN.enter();
-        let t1 = Instant::now();
-        // The annealed packing is overlap-free but its symmetry is only
-        // penalty-tight; one minimal-displacement LP pass snaps the
-        // constraints exactly without re-optimizing wirelength.
-        let placement = repair_placement(circuit, &annealed.placement)?;
-        let repair_seconds = t1.elapsed().as_secs_f64();
-        let hpwl = placement.hpwl(circuit);
-        let area = placement.area(circuit);
-        Ok(SaResult {
-            placement,
-            hpwl,
-            area,
-            anneal_seconds,
-            repair_seconds,
-            moves: annealed.moves,
-            phi: annealed.cost.phi,
-        })
-    }
-
-    /// Runs the conventional (performance-oblivious) flow.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the LP solver error from the repair pass.
-    pub fn place(&self, circuit: &Circuit) -> Result<SaResult, PlaceError> {
-        let t0 = Instant::now();
-        let annealed = anneal(circuit, &self.config, None);
-        let anneal_seconds = t0.elapsed().as_secs_f64();
-        self.finish(circuit, annealed, anneal_seconds)
-    }
-
     /// Runs the performance-driven flow: Φ inference inside the SA cost,
     /// as in the ICCAD'20 baseline \[19\].
     ///
@@ -134,47 +62,62 @@ impl SaPlacer {
         network: &Network,
         weight: f64,
         scale: f64,
-    ) -> Result<SaResult, PlaceError> {
-        let t0 = Instant::now();
-        let annealed = anneal(
-            circuit,
-            &self.config,
-            Some(PerfCost {
-                network,
-                weight,
-                scale,
-            }),
-        );
-        let anneal_seconds = t0.elapsed().as_secs_f64();
-        self.finish(circuit, annealed, anneal_seconds)
+    ) -> Result<PlaceSolution, PlaceError> {
+        let perf = PerfCost {
+            network,
+            weight,
+            scale,
+        };
+        let shared = SaShared::new(circuit);
+        match self.run_engine(circuit, &shared, Some(perf), None, &RunBudget::unlimited())? {
+            PlaceOutcome::Complete(solution) => Ok(solution),
+            _ => unreachable!("an unlimited budget completes"),
+        }
     }
 
+    /// Anneals, then repairs the annealed floorplan with one LP pass.
     fn run_engine(
         &self,
         circuit: &Circuit,
-        budget: &RunBudget,
+        shared: &SaShared,
+        perf: Option<PerfCost<'_>>,
         resume: Option<&SaCheckpoint>,
-        shared: Option<&SaShared>,
+        budget: &RunBudget,
     ) -> Result<PlaceOutcome, PlaceError> {
         let t0 = Instant::now();
-        let run = anneal_budgeted_with(circuit, &self.config, None, budget, resume, shared);
+        let run = anneal_budgeted_with(circuit, &self.config, perf, budget, resume, Some(shared));
         let anneal_seconds = t0.elapsed().as_secs_f64();
-        match run {
-            AnnealRun::Complete(annealed) => {
-                let result = self.finish(circuit, annealed, anneal_seconds)?;
-                Ok(PlaceOutcome::Complete(result.into_solution()))
-            }
-            AnnealRun::Exhausted(annealed) => {
-                // Best-so-far is still a packed floorplan; the same LP
-                // repair pass legalizes it, so Exhausted upholds the
-                // trait's "always legal" contract.
-                let result = self.finish(circuit, annealed, anneal_seconds)?;
-                Ok(PlaceOutcome::Exhausted(result.into_solution()))
-            }
+        let (annealed, exhausted) = match run {
+            AnnealRun::Complete(annealed) => (annealed, false),
+            // Best-so-far is still a packed floorplan; the same LP repair
+            // pass legalizes it, so Exhausted upholds the trait's "always
+            // legal" contract.
+            AnnealRun::Exhausted(annealed) => (annealed, true),
             AnnealRun::Cancelled(sack) => {
-                Ok(PlaceOutcome::Cancelled(encode_checkpoint(circuit, &sack)))
+                return Ok(PlaceOutcome::Cancelled(encode_checkpoint(circuit, &sack)))
             }
-        }
+        };
+        static SPAN: placer_telemetry::SpanStat = placer_telemetry::SpanStat::new("sa_repair");
+        let _span = SPAN.enter();
+        let t1 = Instant::now();
+        // The annealed packing is overlap-free but its symmetry is only
+        // penalty-tight; one minimal-displacement LP pass snaps the
+        // constraints exactly without re-optimizing wirelength.
+        let placement = repair_placement(circuit, &annealed.placement)?;
+        let stage2_seconds = t1.elapsed().as_secs_f64();
+        let solution = PlaceSolution {
+            hpwl: placement.hpwl(circuit),
+            area: placement.area(circuit),
+            placement,
+            stage1_seconds: anneal_seconds,
+            stage2_seconds,
+            iterations: annealed.moves,
+        };
+        Ok(if exhausted {
+            PlaceOutcome::Exhausted(solution)
+        } else {
+            PlaceOutcome::Complete(solution)
+        })
     }
 }
 
@@ -183,40 +126,23 @@ impl Placer for SaPlacer {
         "sa"
     }
 
-    fn place(&self, circuit: &Circuit, budget: &RunBudget) -> Result<PlaceOutcome, PlaceError> {
-        self.run_engine(circuit, budget, None, None)
-    }
-
-    fn resume(
-        &self,
-        circuit: &Circuit,
-        checkpoint: &Checkpoint,
-        budget: &RunBudget,
-    ) -> Result<PlaceOutcome, PlaceError> {
-        expect_placer(checkpoint, self.name())?;
-        let sack = decode_checkpoint(checkpoint, circuit, &self.config, None)?;
-        self.run_engine(circuit, budget, Some(&sack), None)
-    }
-
-    fn place_artifacts(
+    /// Runs the conventional (performance-oblivious) flow.
+    fn run(
         &self,
         artifacts: &eplace::CircuitArtifacts,
+        resume: Option<&Checkpoint>,
         budget: &RunBudget,
     ) -> Result<PlaceOutcome, PlaceError> {
+        let circuit = artifacts.circuit();
         let shared = artifacts.ext_or_build(SaShared::new);
-        self.run_engine(artifacts.circuit(), budget, None, Some(&shared))
-    }
-
-    fn resume_artifacts(
-        &self,
-        artifacts: &eplace::CircuitArtifacts,
-        checkpoint: &Checkpoint,
-        budget: &RunBudget,
-    ) -> Result<PlaceOutcome, PlaceError> {
-        expect_placer(checkpoint, self.name())?;
-        let shared = artifacts.ext_or_build(SaShared::new);
-        let sack = decode_checkpoint(checkpoint, artifacts.circuit(), &self.config, Some(&shared))?;
-        self.run_engine(artifacts.circuit(), budget, Some(&sack), Some(&shared))
+        let sack = match resume {
+            Some(ck) => {
+                expect_placer(ck, self.name())?;
+                Some(decode_checkpoint(ck, circuit, &self.config, &shared)?)
+            }
+            None => None,
+        };
+        self.run_engine(circuit, &shared, None, sack.as_ref(), budget)
     }
 
     fn probe(&self, circuit: &Circuit, checkpoint: &Checkpoint) -> Option<eplace::RaceProbe> {
@@ -400,7 +326,7 @@ fn decode_checkpoint(
     ck: &Checkpoint,
     circuit: &Circuit,
     config: &SaConfig,
-    shared: Option<&SaShared>,
+    shared: &SaShared,
 ) -> Result<SaCheckpoint, PlaceError> {
     let n = circuit.num_devices();
     let stored_n = ck.get_u64("n")? as usize;
@@ -416,10 +342,7 @@ fn decode_checkpoint(
             config.chains.max(1)
         )));
     }
-    let blocks = match shared {
-        Some(s) => s.model.len(),
-        None => BlockModel::new(circuit).len(),
-    };
+    let blocks = shared.model.len();
     let mut entries = Vec::with_capacity(chains);
     for i in 0..chains {
         let p = format!("c{i}_");
@@ -472,6 +395,7 @@ fn decode_checkpoint(
 mod tests {
     use super::*;
     use analog_netlist::testcases;
+    use eplace::CircuitArtifacts;
 
     fn quick() -> SaPlacer {
         SaPlacer::new(SaConfig {
@@ -481,10 +405,16 @@ mod tests {
         })
     }
 
+    fn solve(placer: &SaPlacer, circuit: &Circuit) -> PlaceSolution {
+        let outcome = placer.place(circuit, &RunBudget::unlimited()).unwrap();
+        assert!(outcome.is_complete(), "an unlimited budget completes");
+        outcome.solution().cloned().unwrap()
+    }
+
     #[test]
     fn sa_pipeline_produces_legal_placement() {
         for circuit in [testcases::adder(), testcases::cc_ota()] {
-            let result = quick().place(&circuit).unwrap();
+            let result = solve(&quick(), &circuit);
             assert!(
                 result
                     .placement
@@ -499,12 +429,13 @@ mod tests {
     }
 
     #[test]
-    fn perf_flow_reports_phi() {
+    fn perf_flow_is_legal_and_steered_by_phi() {
         let circuit = testcases::adder();
         let network = placer_gnn::Network::default_config(5);
         let result = quick().place_perf(&circuit, &network, 30.0, 20.0).unwrap();
-        assert!(result.phi > 0.0 && result.phi < 1.0);
         assert!(result.placement.is_legal(&circuit, 1e-6));
+        // The Φ term changes which moves the annealer accepts.
+        assert_ne!(result.placement, solve(&quick(), &circuit).placement);
     }
 
     #[test]
@@ -512,54 +443,43 @@ mod tests {
         // A long run should be at least roughly as good as a short one
         // (cost is stochastic; allow 25% slack).
         let circuit = testcases::cc_ota();
-        let short = SaPlacer::new(SaConfig {
-            temperatures: 10,
-            moves_per_temperature: 20,
-            ..SaConfig::default()
-        })
-        .place(&circuit)
-        .unwrap();
-        let long = SaPlacer::new(SaConfig {
-            temperatures: 60,
-            moves_per_temperature: 100,
-            ..SaConfig::default()
-        })
-        .place(&circuit)
-        .unwrap();
-        let score = |r: &SaResult| r.area + r.hpwl;
+        let short = solve(
+            &SaPlacer::new(SaConfig {
+                temperatures: 10,
+                moves_per_temperature: 20,
+                ..SaConfig::default()
+            }),
+            &circuit,
+        );
+        let long = solve(
+            &SaPlacer::new(SaConfig {
+                temperatures: 60,
+                moves_per_temperature: 100,
+                ..SaConfig::default()
+            }),
+            &circuit,
+        );
+        let score = |r: &PlaceSolution| r.area + r.hpwl;
         assert!(score(&long) < score(&short) * 1.25);
-    }
-
-    #[test]
-    fn trait_place_with_unlimited_budget_matches_legacy() {
-        let circuit = testcases::cc_ota();
-        let placer = quick();
-        let legacy = placer.place(&circuit).unwrap();
-        let outcome = Placer::place(&placer, &circuit, &RunBudget::unlimited()).unwrap();
-        let solution = outcome.solution().expect("complete");
-        assert!(outcome.is_complete());
-        assert_eq!(legacy.placement, solution.placement);
-        assert_eq!(legacy.hpwl.to_bits(), solution.hpwl.to_bits());
-        assert_eq!(legacy.moves, solution.iterations);
     }
 
     #[test]
     fn cancel_resume_roundtrips_through_the_text_codec() {
         let circuit = testcases::adder();
+        let artifacts = CircuitArtifacts::build(circuit.clone());
         let placer = quick();
-        let reference = Placer::place(&placer, &circuit, &RunBudget::unlimited()).unwrap();
+        let a = solve(&placer, &circuit);
 
         for cancel_at in [0u64, 4, 20] {
             let budget = RunBudget::unlimited();
             budget.cancel_after_checks(cancel_at);
-            let outcome = Placer::place(&placer, &circuit, &budget).unwrap();
+            let outcome = placer.run(&artifacts, None, &budget).unwrap();
             let ck = outcome.checkpoint().expect("cancelled");
             // Through the codec, like the jobs engine does on disk.
             let decoded = Checkpoint::decode(&ck.encode()).unwrap();
             let resumed = placer
-                .resume(&circuit, &decoded, &RunBudget::unlimited())
+                .run(&artifacts, Some(&decoded), &RunBudget::unlimited())
                 .unwrap();
-            let a = reference.solution().unwrap();
             let b = resumed.solution().expect("complete after resume");
             assert_eq!(a.placement, b.placement, "cancel_at={cancel_at}");
             assert_eq!(a.hpwl.to_bits(), b.hpwl.to_bits());
@@ -570,22 +490,22 @@ mod tests {
     #[test]
     fn multi_chain_cancel_resume_is_bit_identical() {
         let circuit = testcases::adder();
+        let artifacts = CircuitArtifacts::build(circuit.clone());
         let placer = SaPlacer::new(SaConfig {
             temperatures: 20,
             moves_per_temperature: 30,
             chains: 3,
             ..SaConfig::default()
         });
-        let reference = Placer::place(&placer, &circuit, &RunBudget::unlimited()).unwrap();
+        let a = solve(&placer, &circuit);
 
         let budget = RunBudget::unlimited();
         budget.cancel_after_checks(8);
-        let outcome = Placer::place(&placer, &circuit, &budget).unwrap();
+        let outcome = placer.run(&artifacts, None, &budget).unwrap();
         let ck = outcome.checkpoint().expect("cancelled");
         let resumed = placer
-            .resume(&circuit, ck, &RunBudget::unlimited())
+            .run(&artifacts, Some(ck), &RunBudget::unlimited())
             .unwrap();
-        let a = reference.solution().unwrap();
         let b = resumed.solution().expect("complete");
         assert_eq!(a.placement, b.placement);
         assert_eq!(a.hpwl.to_bits(), b.hpwl.to_bits());
@@ -597,7 +517,7 @@ mod tests {
         let circuit = testcases::cc_ota();
         let placer = quick();
         for steps in [1u64, 10] {
-            let outcome = Placer::place(&placer, &circuit, &RunBudget::steps(steps)).unwrap();
+            let outcome = placer.place(&circuit, &RunBudget::steps(steps)).unwrap();
             assert!(outcome.is_exhausted(), "steps={steps}");
             let s = outcome.solution().unwrap();
             assert!(
@@ -611,8 +531,8 @@ mod tests {
     fn eco_replace_fast_path_is_legal() {
         let circuit = testcases::cc_ota();
         let placer = quick();
-        let cold = placer.place(&circuit).unwrap();
-        let artifacts = eplace::CircuitArtifacts::build(circuit.clone());
+        let cold = solve(&placer, &circuit);
+        let artifacts = CircuitArtifacts::build(circuit.clone());
         let warm = eplace::eco::warm_checkpoint(&circuit, &cold.placement);
         let delta = analog_netlist::NetlistDelta::parse("resize RB 18k\n").unwrap();
         let rep = placer
@@ -632,6 +552,7 @@ mod tests {
     #[test]
     fn resume_rejects_mismatched_configs() {
         let circuit = testcases::adder();
+        let artifacts = CircuitArtifacts::build(circuit.clone());
         let placer = SaPlacer::new(SaConfig {
             temperatures: 20,
             moves_per_temperature: 30,
@@ -640,12 +561,12 @@ mod tests {
         });
         let budget = RunBudget::unlimited();
         budget.cancel_after_checks(3);
-        let outcome = Placer::place(&placer, &circuit, &budget).unwrap();
+        let outcome = placer.run(&artifacts, None, &budget).unwrap();
         let ck = outcome.checkpoint().expect("cancelled");
         // A single-chain placer cannot consume a two-chain checkpoint.
         let other = quick();
         let err = other
-            .resume(&circuit, ck, &RunBudget::unlimited())
+            .run(&artifacts, Some(ck), &RunBudget::unlimited())
             .unwrap_err();
         assert!(matches!(err, PlaceError::BadCheckpoint(_)));
     }

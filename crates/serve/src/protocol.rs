@@ -28,9 +28,18 @@
 //! offline `jobs` binary would have written, so daemon and batch output
 //! compare byte-for-byte. Report lines are the only unframed lines on the
 //! wire; clients classify them by the absence of a `"type"` key.
+//!
+//! A client frame may hold at most [`MAX_FRAME_BYTES`] bytes before its
+//! newline. A longer one is answered with [`ErrorCode::FrameTooLarge`] and
+//! the connection is closed, so a peer that never sends a newline cannot
+//! grow the server's memory.
 
 use placer_jobs::json::{escape, parse_object, Json};
 use placer_jobs::{check_protocol_version, spec_from_pairs, JobSpec, SpecError, PROTOCOL_VERSION};
+
+/// Longest client frame, in bytes before its newline. Frames carry file
+/// paths and job fields, never netlists, so this is generous.
+pub const MAX_FRAME_BYTES: usize = 64 * 1024;
 
 /// Structured reason carried by an `error` frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,6 +63,9 @@ pub enum ErrorCode {
     ProgressUnavailable,
     /// A duplicate job id is still in flight on this connection.
     DuplicateId,
+    /// The frame ran past [`MAX_FRAME_BYTES`] without a newline; the
+    /// server closes the connection after this error.
+    FrameTooLarge,
 }
 
 impl ErrorCode {
@@ -69,6 +81,7 @@ impl ErrorCode {
             ErrorCode::Draining => "draining",
             ErrorCode::ProgressUnavailable => "progress_unavailable",
             ErrorCode::DuplicateId => "duplicate_id",
+            ErrorCode::FrameTooLarge => "frame_too_large",
         }
     }
 
@@ -84,6 +97,7 @@ impl ErrorCode {
             "draining" => ErrorCode::Draining,
             "progress_unavailable" => ErrorCode::ProgressUnavailable,
             "duplicate_id" => ErrorCode::DuplicateId,
+            "frame_too_large" => ErrorCode::FrameTooLarge,
             _ => return None,
         })
     }
@@ -466,6 +480,7 @@ mod tests {
             ErrorCode::Draining,
             ErrorCode::ProgressUnavailable,
             ErrorCode::DuplicateId,
+            ErrorCode::FrameTooLarge,
         ] {
             assert_eq!(ErrorCode::parse(code.as_str()), Some(code));
         }

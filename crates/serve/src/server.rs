@@ -27,8 +27,8 @@
 //! offline `jobs` binary.
 
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -43,7 +43,7 @@ use placer_sweep::{RaceConfig, SweepConfig, SweepEngine};
 
 use crate::protocol::{
     accepted_frame, bare_frame, done_frame, parse_request, welcome_frame, ErrorCode, ProtocolError,
-    Request, SweepRequest,
+    Request, SweepRequest, MAX_FRAME_BYTES,
 };
 use crate::queue::{AdmissionQueue, AdmitError, Lease, QueueConfig, QueueStats};
 
@@ -306,8 +306,24 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let mut line = String::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        // One byte past the cap tells an overlong frame from one that
+        // ends exactly at it.
+        let mut frame = (&mut reader).take(MAX_FRAME_BYTES as u64 + 1);
+        match frame.read_line(&mut line) {
             Ok(0) => break, // peer closed
+            Ok(n) if n > MAX_FRAME_BYTES && !line.ends_with('\n') => {
+                out.send_line(
+                    &ProtocolError::new(
+                        ErrorCode::FrameTooLarge,
+                        format!("frame exceeds {MAX_FRAME_BYTES} bytes without a newline"),
+                    )
+                    .to_line(),
+                );
+                // Jobs still in flight hold clones of the socket, so end
+                // it explicitly rather than by dropping this handle.
+                let _ = reader.get_ref().shutdown(Shutdown::Both);
+                break;
+            }
             Ok(_) => {}
             Err(_) => break,
         }

@@ -389,3 +389,54 @@ fn streaming_without_telemetry_is_a_structured_error() {
     }
     server.shutdown();
 }
+
+#[test]
+fn overlong_frames_are_refused_and_the_connection_closed() {
+    use placer_jobs::json::{parse_object, Json};
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
+    fn field(line: &str, key: &str) -> Option<String> {
+        let pairs = parse_object(line.trim()).ok()?;
+        pairs.into_iter().find_map(|(k, v)| match v {
+            Json::Str(s) if k == key => Some(s),
+            _ => None,
+        })
+    }
+    let connect = |server: &Server| {
+        let stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        let reader = BufReader::new(stream.try_clone().expect("clone"));
+        (stream, reader)
+    };
+
+    let server = start_server("frame", 1, 16, 16);
+    let (mut writer, mut reader) = connect(&server);
+    // 1 MiB without a newline, written from its own thread: the server
+    // stops reading at the cap, so the write may fail once it hangs up.
+    let flood = std::thread::spawn(move || {
+        let _ = writer.write_all(&vec![b'x'; 1 << 20]);
+    });
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error frame");
+    assert_eq!(field(&line, "type").as_deref(), Some("error"), "{line}");
+    assert_eq!(
+        field(&line, "code").as_deref(),
+        Some(ErrorCode::FrameTooLarge.as_str()),
+        "{line}"
+    );
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).expect("EOF"), 0, "{line}");
+    flood.join().unwrap();
+
+    // The daemon itself is unharmed: a fresh connection still answers.
+    let (mut writer, mut reader) = connect(&server);
+    writer.write_all(b"{\"type\":\"ping\"}\n").expect("ping");
+    line.clear();
+    reader.read_line(&mut line).expect("pong");
+    assert_eq!(field(&line, "type").as_deref(), Some("pong"), "{line}");
+    drop((writer, reader));
+    server.shutdown();
+}

@@ -160,10 +160,7 @@ pub fn race(
             budget.cancel_after_checks(q);
         }
         let t0 = Instant::now();
-        let outcome = match resume {
-            Some(ck) => racer.placer.resume_artifacts(artifacts, ck, &budget),
-            None => racer.placer.place_artifacts(artifacts, &budget),
-        };
+        let outcome = racer.placer.run(artifacts, resume.as_ref(), &budget);
         *wall += t0.elapsed().as_secs_f64() * 1e3;
         outcome.map_err(|e| e.to_string())
     };

@@ -51,7 +51,7 @@ fn assert_bit_identical(a: &PlaceOutcome, b: &PlaceOutcome, what: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Cache contract: `place_artifacts` on a cached bundle reproduces a
+    /// Cache contract: `run` on a cached bundle reproduces a
     /// cold `place` bit-for-bit — the shared state (device→net index, GNN
     /// topology, density templates, SA tables) is exactly what the cold
     /// path would have computed. Checked for every placer on the three
@@ -68,7 +68,7 @@ proptest! {
 
             let artifacts = cache.get_or_build(&circuit);
             let warm = p
-                .place_artifacts(&artifacts, &RunBudget::unlimited())
+                .run(&artifacts, None, &RunBudget::unlimited())
                 .expect("cached run succeeds");
             assert_bit_identical(&warm, &cold, PLACERS[placer]);
 
@@ -78,7 +78,7 @@ proptest! {
             let again = cache.get_or_build(&circuit);
             prop_assert!(cache.hits() > hits_before, "second lookup must hit");
             let rewarm = p
-                .place_artifacts(&again, &RunBudget::unlimited())
+                .run(&again, None, &RunBudget::unlimited())
                 .expect("hit-path run succeeds");
             assert_bit_identical(&rewarm, &cold, PLACERS[placer]);
         }

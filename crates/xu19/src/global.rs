@@ -168,7 +168,10 @@ pub struct Xu19GlobalStats {
 ///
 /// Panics if the circuit has no devices.
 pub fn run_global(circuit: &Circuit, cfg: &Xu19GlobalConfig) -> (Placement, Xu19GlobalStats) {
-    run_global_with_extra(circuit, cfg, None)
+    match run_global_budgeted(circuit, cfg, None, None, None) {
+        Xu19Run::Complete(p, s) | Xu19Run::Exhausted(p, s) => (p, s),
+        Xu19Run::Cancelled(_) => unreachable!("no budget, cannot cancel"),
+    }
 }
 
 /// Extra gradient hook type (used by the Perf* extension of Table V/VII).
@@ -204,20 +207,9 @@ pub enum Xu19Run {
     Cancelled(Box<Xu19Checkpoint>),
 }
 
-/// Runs global placement with an optional extra gradient (Perf* variant).
-pub fn run_global_with_extra(
-    circuit: &Circuit,
-    cfg: &Xu19GlobalConfig,
-    extra: Option<&mut ExtraGradientFn<'_>>,
-) -> (Placement, Xu19GlobalStats) {
-    match run_global_budgeted(circuit, cfg, extra, None, None) {
-        Xu19Run::Complete(p, s) | Xu19Run::Exhausted(p, s) => (p, s),
-        Xu19Run::Cancelled(_) => unreachable!("no budget, cannot cancel"),
-    }
-}
-
-/// [`run_global_with_extra`] under a [`RunBudget`], checked once per outer
-/// round (the checkpoint granularity), optionally resuming a cancelled run.
+/// [`run_global`] with an optional extra gradient (the Perf* variant)
+/// under an optional [`RunBudget`], checked once per outer round (the
+/// checkpoint granularity), optionally resuming a cancelled run.
 pub fn run_global_budgeted(
     circuit: &Circuit,
     cfg: &Xu19GlobalConfig,

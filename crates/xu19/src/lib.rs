@@ -20,11 +20,13 @@
 //!
 //! ```
 //! use analog_netlist::testcases;
+//! use eplace::{Placer, RunBudget};
 //! use placer_xu19::Xu19Placer;
 //!
 //! # fn main() -> Result<(), eplace::PlaceError> {
 //! let circuit = testcases::cc_ota();
-//! let result = Xu19Placer::default().place(&circuit)?;
+//! let outcome = Xu19Placer::default().place(&circuit, &RunBudget::unlimited())?;
+//! let result = outcome.solution().expect("an unlimited budget completes");
 //! println!("area {:.1} µm², HPWL {:.1} µm", result.area, result.hpwl);
 //! # Ok(())
 //! # }
@@ -41,9 +43,9 @@ mod pipeline;
 
 pub use bell::{bell_kernel, BellDensity};
 pub use global::{
-    run_global, run_global_budgeted, run_global_with_extra, Xu19Checkpoint, Xu19GlobalConfig,
-    Xu19GlobalConfigBuilder, Xu19GlobalStats, Xu19Run,
+    run_global, run_global_budgeted, Xu19Checkpoint, Xu19GlobalConfig, Xu19GlobalConfigBuilder,
+    Xu19GlobalStats, Xu19Run,
 };
 pub use legalize::{legalize_two_stage, LegalizeStats};
 pub use lse::{lse_spread_with_grad, lse_wirelength};
-pub use pipeline::{Xu19Placer, Xu19Result};
+pub use pipeline::Xu19Placer;

@@ -11,39 +11,9 @@ use eplace::{
 use placer_gnn::Network;
 
 use crate::global::{
-    run_global_budgeted, run_global_with_extra, Xu19Checkpoint, Xu19GlobalConfig, Xu19Run,
+    run_global_budgeted, ExtraGradientFn, Xu19Checkpoint, Xu19GlobalConfig, Xu19Run,
 };
 use crate::legalize::legalize_two_stage;
-
-/// Result of a baseline placement run.
-#[derive(Debug, Clone)]
-pub struct Xu19Result {
-    /// The final (legal) placement.
-    pub placement: Placement,
-    /// Exact HPWL (µm).
-    pub hpwl: f64,
-    /// Bounding-box area (µm²).
-    pub area: f64,
-    /// Global placement wall time (s).
-    pub gp_seconds: f64,
-    /// Legalization wall time (s).
-    pub dp_seconds: f64,
-}
-
-impl Xu19Result {
-    /// Converts into the unified [`PlaceSolution`] (global placement is
-    /// stage 1, LP legalization is stage 2).
-    pub fn into_solution(self, iterations: usize) -> PlaceSolution {
-        PlaceSolution {
-            placement: self.placement,
-            hpwl: self.hpwl,
-            area: self.area,
-            stage1_seconds: self.gp_seconds,
-            stage2_seconds: self.dp_seconds,
-            iterations,
-        }
-    }
-}
 
 /// The ISPD'19 analytical analog placer (our reimplementation of \[11\]).
 ///
@@ -51,11 +21,13 @@ impl Xu19Result {
 ///
 /// ```
 /// use analog_netlist::testcases;
+/// use eplace::{Placer, RunBudget};
 /// use placer_xu19::Xu19Placer;
 ///
 /// # fn main() -> Result<(), eplace::PlaceError> {
 /// let circuit = testcases::adder();
-/// let result = Xu19Placer::default().place(&circuit)?;
+/// let outcome = Xu19Placer::default().place(&circuit, &RunBudget::unlimited())?;
+/// let result = outcome.solution().expect("an unlimited budget completes");
 /// assert!(result.placement.overlapping_pairs(&circuit, 1e-6).is_empty());
 /// # Ok(())
 /// # }
@@ -72,34 +44,6 @@ impl Xu19Placer {
         Self { global }
     }
 
-    /// Runs the conventional (performance-oblivious) flow.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PlaceError`] from the LP stages.
-    pub fn place(&self, circuit: &Circuit) -> Result<Xu19Result, PlaceError> {
-        static SPAN: placer_telemetry::SpanStat = placer_telemetry::SpanStat::new("xu19_place");
-        let _span = SPAN.enter();
-        let t0 = Instant::now();
-        let (gp, _) = run_global_with_extra(circuit, &self.global, None);
-        let gp_seconds = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let (placement, stats) = legalize_two_stage(circuit, &gp)?;
-        let dp_seconds = t1.elapsed().as_secs_f64();
-        Ok(Xu19Result {
-            placement,
-            hpwl: stats.hpwl,
-            area: stats.area,
-            gp_seconds,
-            dp_seconds,
-        })
-    }
-
-    /// Runs only global placement (for Table IV's shared-GP comparison).
-    pub fn global_only(&self, circuit: &Circuit) -> Placement {
-        run_global_with_extra(circuit, &self.global, None).0
-    }
-
     /// Runs the "Perf*" performance-driven extension: the same GNN gradient
     /// term ePlace-AP uses, grafted onto this baseline's global placement.
     ///
@@ -112,71 +56,54 @@ impl Xu19Placer {
         network: &Network,
         alpha: f64,
         scale: f64,
-    ) -> Result<Xu19Result, PlaceError> {
-        let t0 = Instant::now();
+    ) -> Result<PlaceSolution, PlaceError> {
         // Same zero-allocation gradient hook state ePlace-AP uses.
         let mut state = eplace::PerfGradHook::new(circuit, network, alpha, scale);
         let mut hook = move |pts: &[(f64, f64)], grad: &mut [f64]| -> f64 { state.eval(pts, grad) };
-        let (gp, _) = run_global_with_extra(circuit, &self.global, Some(&mut hook));
-        let gp_seconds = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let (placement, stats) = legalize_two_stage(circuit, &gp)?;
-        let dp_seconds = t1.elapsed().as_secs_f64();
-        Ok(Xu19Result {
-            placement,
-            hpwl: stats.hpwl,
-            area: stats.area,
-            gp_seconds,
-            dp_seconds,
-        })
-    }
-
-    fn legalize_outcome(
-        &self,
-        circuit: &Circuit,
-        gp: Placement,
-        iterations: usize,
-        gp_seconds: f64,
-    ) -> Result<PlaceSolution, PlaceError> {
-        let t1 = Instant::now();
-        let (placement, stats) = legalize_two_stage(circuit, &gp)?;
-        let dp_seconds = t1.elapsed().as_secs_f64();
-        Ok(Xu19Result {
-            placement,
-            hpwl: stats.hpwl,
-            area: stats.area,
-            gp_seconds,
-            dp_seconds,
+        match self.run_engine(circuit, Some(&mut hook), None, &RunBudget::unlimited())? {
+            PlaceOutcome::Complete(solution) => Ok(solution),
+            _ => unreachable!("an unlimited budget completes"),
         }
-        .into_solution(iterations))
     }
 
+    /// Global placement (with the optional Perf* gradient term), then
+    /// two-stage LP legalization.
     fn run_engine(
         &self,
         circuit: &Circuit,
-        budget: &RunBudget,
+        extra: Option<&mut ExtraGradientFn<'_>>,
         resume: Option<&Xu19Checkpoint>,
+        budget: &RunBudget,
     ) -> Result<PlaceOutcome, PlaceError> {
+        static SPAN: placer_telemetry::SpanStat = placer_telemetry::SpanStat::new("xu19_place");
+        let _span = SPAN.enter();
         let t0 = Instant::now();
-        let run = run_global_budgeted(circuit, &self.global, None, Some(budget), resume);
-        let gp_seconds = t0.elapsed().as_secs_f64();
-        match run {
-            Xu19Run::Complete(gp, stats) => Ok(PlaceOutcome::Complete(self.legalize_outcome(
-                circuit,
-                gp,
-                stats.iterations,
-                gp_seconds,
-            )?)),
+        let run = run_global_budgeted(circuit, &self.global, extra, Some(budget), resume);
+        let stage1_seconds = t0.elapsed().as_secs_f64();
+        let (gp, stats, exhausted) = match run {
+            Xu19Run::Complete(gp, stats) => (gp, stats, false),
             // The expired run's coordinates still legalize: the same LP
             // stages that finish a full run also repair a partial one.
-            Xu19Run::Exhausted(gp, stats) => Ok(PlaceOutcome::Exhausted(self.legalize_outcome(
-                circuit,
-                gp,
-                stats.iterations,
-                gp_seconds,
-            )?)),
-            Xu19Run::Cancelled(ck) => Ok(PlaceOutcome::Cancelled(encode_checkpoint(circuit, &ck))),
-        }
+            Xu19Run::Exhausted(gp, stats) => (gp, stats, true),
+            Xu19Run::Cancelled(ck) => {
+                return Ok(PlaceOutcome::Cancelled(encode_checkpoint(circuit, &ck)))
+            }
+        };
+        let t1 = Instant::now();
+        let (placement, lstats) = legalize_two_stage(circuit, &gp)?;
+        let solution = PlaceSolution {
+            placement,
+            hpwl: lstats.hpwl,
+            area: lstats.area,
+            stage1_seconds,
+            stage2_seconds: t1.elapsed().as_secs_f64(),
+            iterations: stats.iterations,
+        };
+        Ok(if exhausted {
+            PlaceOutcome::Exhausted(solution)
+        } else {
+            PlaceOutcome::Complete(solution)
+        })
     }
 }
 
@@ -185,25 +112,25 @@ impl Placer for Xu19Placer {
         "xu19"
     }
 
-    fn place(&self, circuit: &Circuit, budget: &RunBudget) -> Result<PlaceOutcome, PlaceError> {
-        self.run_engine(circuit, budget, None)
-    }
-
-    fn resume(
+    /// Runs the conventional (performance-oblivious) flow. The global pass
+    /// derives only cheap per-run state (bell grids, LSE scratch) from the
+    /// circuit, so the artifacts contribute just the parsed circuit.
+    fn run(
         &self,
-        circuit: &Circuit,
-        checkpoint: &Checkpoint,
+        artifacts: &eplace::CircuitArtifacts,
+        resume: Option<&Checkpoint>,
         budget: &RunBudget,
     ) -> Result<PlaceOutcome, PlaceError> {
-        expect_placer(checkpoint, self.name())?;
-        let ck = decode_checkpoint(checkpoint, circuit, &self.global)?;
-        self.run_engine(circuit, budget, Some(&ck))
+        let circuit = artifacts.circuit();
+        let ck = match resume {
+            Some(ck) => {
+                expect_placer(ck, self.name())?;
+                Some(decode_checkpoint(ck, circuit, &self.global)?)
+            }
+            None => None,
+        };
+        self.run_engine(circuit, None, ck.as_ref(), budget)
     }
-
-    // `place_artifacts`/`resume_artifacts` keep the trait defaults: the
-    // Xu19 global pass derives only cheap per-run state (bell grids, LSE
-    // scratch) from the circuit, so the shared parsed circuit is the whole
-    // artifact win here.
 
     fn eco_refine(
         &self,
@@ -316,12 +243,19 @@ fn decode_checkpoint(
 mod tests {
     use super::*;
     use analog_netlist::testcases;
+    use eplace::CircuitArtifacts;
     use placer_gnn::Network;
+
+    fn solve(placer: &Xu19Placer, circuit: &Circuit) -> PlaceSolution {
+        let outcome = placer.place(circuit, &RunBudget::unlimited()).unwrap();
+        assert!(outcome.is_complete(), "an unlimited budget completes");
+        outcome.solution().cloned().unwrap()
+    }
 
     #[test]
     fn baseline_pipeline_is_legal() {
         let c = testcases::cc_ota();
-        let r = Xu19Placer::default().place(&c).unwrap();
+        let r = solve(&Xu19Placer::default(), &c);
         assert!(r.placement.overlapping_pairs(&c, 1e-6).is_empty());
         assert!(r.placement.symmetry_violation(&c) < 1e-6);
         assert!(r.hpwl > 0.0 && r.area > 0.0);
@@ -338,34 +272,21 @@ mod tests {
     }
 
     #[test]
-    fn trait_place_with_unlimited_budget_matches_legacy() {
-        let c = testcases::cc_ota();
-        let placer = Xu19Placer::default();
-        let legacy = placer.place(&c).unwrap();
-        let outcome = Placer::place(&placer, &c, &RunBudget::unlimited()).unwrap();
-        assert!(outcome.is_complete());
-        let s = outcome.solution().unwrap();
-        assert_eq!(legacy.placement, s.placement);
-        assert_eq!(legacy.hpwl.to_bits(), s.hpwl.to_bits());
-        assert_eq!(legacy.area.to_bits(), s.area.to_bits());
-    }
-
-    #[test]
     fn cancel_resume_roundtrips_through_the_text_codec() {
         let c = testcases::cc_ota();
+        let artifacts = CircuitArtifacts::build(c.clone());
         let placer = Xu19Placer::default();
-        let reference = Placer::place(&placer, &c, &RunBudget::unlimited()).unwrap();
+        let a = solve(&placer, &c);
 
         for cancel_at in [0u64, 2] {
             let budget = RunBudget::unlimited();
             budget.cancel_after_checks(cancel_at);
-            let outcome = Placer::place(&placer, &c, &budget).unwrap();
+            let outcome = placer.run(&artifacts, None, &budget).unwrap();
             let ck = outcome.checkpoint().expect("cancelled");
             let decoded = Checkpoint::decode(&ck.encode()).unwrap();
             let resumed = placer
-                .resume(&c, &decoded, &RunBudget::unlimited())
+                .run(&artifacts, Some(&decoded), &RunBudget::unlimited())
                 .unwrap();
-            let a = reference.solution().unwrap();
             let b = resumed.solution().expect("complete after resume");
             assert_eq!(a.placement, b.placement, "cancel_at={cancel_at}");
             assert_eq!(a.hpwl.to_bits(), b.hpwl.to_bits());
@@ -378,7 +299,7 @@ mod tests {
         let c = testcases::cc_ota();
         let placer = Xu19Placer::default();
         for steps in [1u64, 2] {
-            let outcome = Placer::place(&placer, &c, &RunBudget::steps(steps)).unwrap();
+            let outcome = placer.place(&c, &RunBudget::steps(steps)).unwrap();
             assert!(outcome.is_exhausted(), "steps={steps}");
             let s = outcome.solution().unwrap();
             assert!(
@@ -392,8 +313,8 @@ mod tests {
     fn eco_replace_fast_path_is_legal() {
         let c = testcases::cc_ota();
         let placer = Xu19Placer::default();
-        let cold = placer.place(&c).unwrap();
-        let artifacts = eplace::CircuitArtifacts::build(c.clone());
+        let cold = solve(&placer, &c);
+        let artifacts = CircuitArtifacts::build(c.clone());
         let warm = eplace::eco::warm_checkpoint(&c, &cold.placement);
         let delta = analog_netlist::NetlistDelta::parse("resize RB 18k\n").unwrap();
         let rep = placer
@@ -413,11 +334,12 @@ mod tests {
     #[test]
     fn resume_rejects_foreign_checkpoints() {
         let c = testcases::adder();
+        let artifacts = CircuitArtifacts::build(c.clone());
         let placer = Xu19Placer::default();
         let mut foreign = Checkpoint::new("sa");
         foreign.put_u64("n", c.num_devices() as u64);
         let err = placer
-            .resume(&c, &foreign, &RunBudget::unlimited())
+            .run(&artifacts, Some(&foreign), &RunBudget::unlimited())
             .unwrap_err();
         assert!(matches!(err, PlaceError::BadCheckpoint(_)));
     }

@@ -9,6 +9,7 @@
 use analog_netlist::testcases;
 use analog_perf::{train_performance_model, DatasetOptions, Evaluator};
 use eplace::{EPlaceA, EPlaceAP, PerfConfig, PlacerConfig, SymmetryMode};
+use placer_bench::run_placer;
 use placer_gnn::TrainOptions;
 use placer_sa::{SaConfig, SaPlacer};
 use placer_xu19::Xu19Placer;
@@ -18,10 +19,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== circuit: {} ===\n", circuit.name());
 
     // Table I flavor: soft vs hard symmetry in global placement.
-    let soft = EPlaceA::new(PlacerConfig::default()).place(&circuit)?;
+    let soft = run_placer(&EPlaceA::new(PlacerConfig::default()), &circuit);
     let mut hard_cfg = PlacerConfig::default();
     hard_cfg.global.symmetry = SymmetryMode::Hard;
-    let hard = EPlaceA::new(hard_cfg).place(&circuit)?;
+    let hard = run_placer(&EPlaceA::new(hard_cfg), &circuit);
     println!(
         "[Table I]  soft symmetry: area {:.1}, HPWL {:.1}",
         soft.area, soft.hpwl
@@ -34,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Figure 2 flavor: area-term ablation.
     let mut no_area_cfg = PlacerConfig::default();
     no_area_cfg.global.eta_scale = 0.0;
-    let no_area = EPlaceA::new(no_area_cfg).place(&circuit)?;
+    let no_area = run_placer(&EPlaceA::new(no_area_cfg), &circuit);
     println!(
         "[Fig. 2]   without area term: area {:.1} ({:+.0}%), HPWL {:.1} ({:+.0}%)\n",
         no_area.area,
@@ -48,26 +49,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         temperatures: 80,
         moves_per_temperature: 60 * circuit.num_devices(),
         ..SaConfig::default()
-    })
-    .place(&circuit)?;
-    let xu = Xu19Placer::default().place(&circuit)?;
+    });
+    let sa = run_placer(&sa, &circuit);
+    let xu = run_placer(&Xu19Placer::default(), &circuit);
     println!(
         "[Table III] SA:       area {:.1}, HPWL {:.1}, {:.2}s",
-        sa.area,
-        sa.hpwl,
-        sa.anneal_seconds + sa.repair_seconds
+        sa.area, sa.hpwl, sa.seconds
     );
     println!(
         "[Table III] [11]:     area {:.1}, HPWL {:.1}, {:.2}s",
-        xu.area,
-        xu.hpwl,
-        xu.gp_seconds + xu.dp_seconds
+        xu.area, xu.hpwl, xu.seconds
     );
     println!(
         "[Table III] ePlace-A: area {:.1}, HPWL {:.1}, {:.2}s\n",
-        soft.area,
-        soft.hpwl,
-        soft.gp_seconds + soft.dp_seconds
+        soft.area, soft.hpwl, soft.seconds
     );
 
     // Table V/VI flavor: performance-driven placement.
@@ -88,8 +83,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         PlacerConfig::default(),
         PerfConfig::new(0.6, dataset.scale),
         network,
-    )
-    .place(&circuit)?;
+    );
+    let ap = run_placer(&ap, &circuit);
     println!(
         "[Table V]  FOM conventional {:.3} -> performance-driven {:.3}",
         evaluator.fom(&circuit, &soft.placement),

@@ -8,6 +8,7 @@
 
 use analog_netlist::parser::{parse_constraints, parse_spice};
 use eplace::{EPlaceA, PlacerConfig};
+use placer_bench::run_placer;
 use placer_sa::{SaConfig, SaPlacer};
 use placer_xu19::Xu19Placer;
 
@@ -52,33 +53,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         circuit.constraints().len()
     );
 
-    let eplace = EPlaceA::new(PlacerConfig::default()).place(&circuit)?;
+    let eplace = run_placer(&EPlaceA::new(PlacerConfig::default()), &circuit);
     println!(
         "ePlace-A : area {:7.1} µm², HPWL {:6.1} µm, {:.2}s",
-        eplace.area,
-        eplace.hpwl,
-        eplace.gp_seconds + eplace.dp_seconds
+        eplace.area, eplace.hpwl, eplace.seconds
     );
 
-    let xu19 = Xu19Placer::default().place(&circuit)?;
+    let xu19 = run_placer(&Xu19Placer::default(), &circuit);
     println!(
         "[11]     : area {:7.1} µm², HPWL {:6.1} µm, {:.2}s",
-        xu19.area,
-        xu19.hpwl,
-        xu19.gp_seconds + xu19.dp_seconds
+        xu19.area, xu19.hpwl, xu19.seconds
     );
 
     let sa = SaPlacer::new(SaConfig {
         temperatures: 80,
         moves_per_temperature: 400,
         ..SaConfig::default()
-    })
-    .place(&circuit)?;
+    });
+    let sa = run_placer(&sa, &circuit);
     println!(
         "SA       : area {:7.1} µm², HPWL {:6.1} µm, {:.2}s",
-        sa.area,
-        sa.hpwl,
-        sa.anneal_seconds + sa.repair_seconds
+        sa.area, sa.hpwl, sa.seconds
     );
 
     for (name, p) in [

@@ -9,6 +9,7 @@
 use analog_netlist::testcases;
 use analog_perf::{train_performance_model, DatasetOptions, Evaluator};
 use eplace::{EPlaceA, EPlaceAP, PerfConfig, PlacerConfig};
+use placer_bench::run_placer;
 use placer_gnn::{TrainOptions, Trainer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dataset.threshold
     );
 
-    let conventional = EPlaceA::new(PlacerConfig::default()).place(&circuit)?;
+    let conventional = run_placer(&EPlaceA::new(PlacerConfig::default()), &circuit);
     let report_a = evaluator.evaluate(&circuit, &conventional.placement);
 
     let perf_placer = EPlaceAP::new(
@@ -37,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         PerfConfig::new(0.6, dataset.scale),
         network,
     );
-    let performance_driven = perf_placer.place(&circuit)?;
+    let performance_driven = run_placer(&perf_placer, &circuit);
     let report_ap = evaluator.evaluate(&circuit, &performance_driven.placement);
 
     println!("{:<20} {:>12} {:>12}", "metric", "ePlace-A", "ePlace-AP");

@@ -6,7 +6,7 @@
 //! ```
 
 use analog_netlist::testcases;
-use eplace::{EPlaceA, PlacerConfig};
+use eplace::{EPlaceA, Placer, PlacerConfig, RunBudget};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let circuit = testcases::cc_ota();
@@ -18,11 +18,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         circuit.constraints().len()
     );
 
-    let result = EPlaceA::new(PlacerConfig::default()).place(&circuit)?;
+    let outcome = EPlaceA::new(PlacerConfig::default()).place(&circuit, &RunBudget::unlimited())?;
+    let result = outcome.solution().expect("an unlimited budget completes");
 
     println!(
         "\narea {:.1} µm², HPWL {:.1} µm, GP {:.2}s + DP {:.2}s",
-        result.area, result.hpwl, result.gp_seconds, result.dp_seconds
+        result.area, result.hpwl, result.stage1_seconds, result.stage2_seconds
     );
     println!(
         "legal: {} (overlap-free, symmetry/alignment/ordering exact)\n",

@@ -14,7 +14,7 @@ use std::process::ExitCode;
 
 use analog_netlist::parser::{parse_constraints, parse_spice, write_placement};
 use analog_netlist::{svg, testcases, Circuit, Placement};
-use eplace::{EPlaceA, PlacerConfig};
+use eplace::{EPlaceA, PlaceOutcome, Placer, PlacerConfig, RunBudget};
 use placer_sa::{SaConfig, SaPlacer};
 use placer_xu19::Xu19Placer;
 
@@ -78,37 +78,28 @@ fn load_circuit(args: &Args) -> Result<Circuit, String> {
 }
 
 fn place(circuit: &Circuit, engine: &str) -> Result<(Placement, f64, f64, f64), String> {
-    match engine {
-        "eplace" => {
-            let r = EPlaceA::new(PlacerConfig::default())
-                .place(circuit)
-                .map_err(|e| e.to_string())?;
-            Ok((r.placement, r.area, r.hpwl, r.gp_seconds + r.dp_seconds))
-        }
-        "xu19" => {
-            let r = Xu19Placer::default()
-                .place(circuit)
-                .map_err(|e| e.to_string())?;
-            Ok((r.placement, r.area, r.hpwl, r.gp_seconds + r.dp_seconds))
-        }
-        "sa" => {
-            let config = SaConfig {
-                temperatures: 200,
-                moves_per_temperature: 120 * circuit.num_devices(),
-                ..SaConfig::default()
-            };
-            let r = SaPlacer::new(config)
-                .place(circuit)
-                .map_err(|e| e.to_string())?;
-            Ok((
-                r.placement,
-                r.area,
-                r.hpwl,
-                r.anneal_seconds + r.repair_seconds,
-            ))
-        }
-        other => Err(format!("unknown engine `{other}` (eplace|xu19|sa)")),
-    }
+    let placer: Box<dyn Placer> = match engine {
+        "eplace" => Box::new(EPlaceA::new(PlacerConfig::default())),
+        "xu19" => Box::new(Xu19Placer::default()),
+        "sa" => Box::new(SaPlacer::new(SaConfig {
+            temperatures: 200,
+            moves_per_temperature: 120 * circuit.num_devices(),
+            ..SaConfig::default()
+        })),
+        other => return Err(format!("unknown engine `{other}` (eplace|xu19|sa)")),
+    };
+    let outcome = placer
+        .place(circuit, &RunBudget::unlimited())
+        .map_err(|e| e.to_string())?;
+    let PlaceOutcome::Complete(r) = outcome else {
+        unreachable!("an unlimited budget completes");
+    };
+    Ok((
+        r.placement,
+        r.area,
+        r.hpwl,
+        r.stage1_seconds + r.stage2_seconds,
+    ))
 }
 
 fn main() -> ExitCode {

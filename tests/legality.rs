@@ -3,6 +3,7 @@
 
 use analog_netlist::testcases;
 use eplace::{EPlaceA, PlacerConfig};
+use placer_bench::run_placer;
 use placer_sa::{SaConfig, SaPlacer};
 use placer_xu19::Xu19Placer;
 
@@ -17,9 +18,7 @@ fn quick_sa() -> SaPlacer {
 #[test]
 fn eplace_a_is_legal_on_every_testcase() {
     for circuit in testcases::all_testcases() {
-        let result = EPlaceA::new(PlacerConfig::default())
-            .place(&circuit)
-            .unwrap_or_else(|e| panic!("{}: {e}", circuit.name()));
+        let result = run_placer(&EPlaceA::new(PlacerConfig::default()), &circuit);
         assert!(
             result
                 .placement
@@ -49,9 +48,7 @@ fn eplace_a_is_legal_on_every_testcase() {
 #[test]
 fn xu19_is_legal_on_every_testcase() {
     for circuit in testcases::all_testcases() {
-        let result = Xu19Placer::default()
-            .place(&circuit)
-            .unwrap_or_else(|e| panic!("{}: {e}", circuit.name()));
+        let result = run_placer(&Xu19Placer::default(), &circuit);
         assert!(
             result.placement.is_legal(&circuit, 1e-6),
             "{}: illegal placement",
@@ -63,9 +60,7 @@ fn xu19_is_legal_on_every_testcase() {
 #[test]
 fn sa_is_legal_on_every_testcase() {
     for circuit in testcases::all_testcases() {
-        let result = quick_sa()
-            .place(&circuit)
-            .unwrap_or_else(|e| panic!("{}: {e}", circuit.name()));
+        let result = run_placer(&quick_sa(), &circuit);
         assert!(
             result.placement.is_legal(&circuit, 1e-6),
             "{}: illegal placement",
@@ -77,9 +72,7 @@ fn sa_is_legal_on_every_testcase() {
 #[test]
 fn results_are_reported_consistently() {
     let circuit = testcases::cc_ota();
-    let result = EPlaceA::new(PlacerConfig::default())
-        .place(&circuit)
-        .expect("placement failed");
+    let result = run_placer(&EPlaceA::new(PlacerConfig::default()), &circuit);
     // Reported metrics must match recomputation from the placement.
     assert!((result.hpwl - result.placement.hpwl(&circuit)).abs() < 1e-6);
     assert!((result.area - result.placement.area(&circuit)).abs() < 1e-6);

@@ -3,7 +3,7 @@
 
 use analog_netlist::parser::{parse_constraints, parse_spice, write_constraints, write_spice};
 use analog_netlist::testcases;
-use eplace::{EPlaceA, PlacerConfig};
+use eplace::{EPlaceA, Placer, PlacerConfig, RunBudget};
 
 #[test]
 fn every_testcase_survives_file_roundtrip() {
@@ -52,8 +52,9 @@ fn parsed_circuit_is_placeable() {
     let constraints = write_constraints(&circuit);
     let mut parsed = parse_spice(&netlist).expect("netlist parses");
     parse_constraints(&mut parsed, &constraints).expect("constraints parse");
-    let result = EPlaceA::new(PlacerConfig::default())
-        .place(&parsed)
+    let outcome = EPlaceA::new(PlacerConfig::default())
+        .place(&parsed, &RunBudget::unlimited())
         .expect("placement of parsed circuit failed");
+    let result = outcome.solution().expect("complete");
     assert!(result.placement.is_legal(&parsed, 1e-6));
 }

@@ -3,7 +3,7 @@
 
 use analog_netlist::testcases;
 use analog_perf::{generate_dataset, train_performance_model, DatasetOptions, Evaluator};
-use eplace::{EPlaceA, EPlaceAP, PerfConfig, PlacerConfig};
+use eplace::{EPlaceA, EPlaceAP, PerfConfig, Placer, PlacerConfig, RunBudget};
 use placer_gnn::{TrainOptions, Trainer};
 
 fn fast_dataset() -> DatasetOptions {
@@ -41,15 +41,17 @@ fn eplace_ap_fom_not_worse_than_eplace_a() {
         train_performance_model(&circuit, &evaluator, &fast_dataset(), &fast_training());
 
     let conventional = EPlaceA::new(PlacerConfig::default())
-        .place(&circuit)
+        .place(&circuit, &RunBudget::unlimited())
         .expect("ePlace-A failed");
+    let conventional = conventional.solution().expect("complete");
     let perf = EPlaceAP::new(
         PlacerConfig::default(),
         PerfConfig::new(0.6, dataset.scale),
         network,
     )
-    .place(&circuit)
+    .place(&circuit, &RunBudget::unlimited())
     .expect("ePlace-AP failed");
+    let perf = perf.solution().expect("complete");
 
     let fom_a = evaluator.fom(&circuit, &conventional.placement);
     let fom_ap = evaluator.fom(&circuit, &perf.placement);

@@ -3,7 +3,7 @@
 //! placers produce.
 
 use analog_netlist::testcases;
-use eplace::{EPlaceA, PlacerConfig, SeparationPlanner};
+use eplace::{EPlaceA, Placer, PlacerConfig, RunBudget, SeparationPlanner};
 
 #[test]
 fn final_placements_satisfy_their_own_plans() {
@@ -12,9 +12,10 @@ fn final_placements_satisfy_their_own_plans() {
     // read from trivially satisfies them. This guards the edge-direction
     // bookkeeping (left/right mix-ups would fail immediately).
     for circuit in [testcases::adder(), testcases::cc_ota(), testcases::comp1()] {
-        let result = EPlaceA::new(PlacerConfig::default())
-            .place(&circuit)
+        let outcome = EPlaceA::new(PlacerConfig::default())
+            .place(&circuit, &RunBudget::unlimited())
             .unwrap_or_else(|e| panic!("{}: {e}", circuit.name()));
+        let result = outcome.solution().expect("complete");
         let mut planner = SeparationPlanner::new(&circuit);
         planner.extend_all_pairs(&circuit, &result.placement);
         for &(a, b) in planner.x_edges() {
