@@ -1,11 +1,10 @@
 //! Regenerates `BENCH_hotpaths.json`: before/after wall-times for the hot
-//! paths the engine work optimized (see `benches/hotpaths.rs` for the
-//! criterion versions of the same pairs).
+//! paths the engine work optimized.
 //!
 //! "Before" is the seed implementation, kept in-tree as `*_reference`;
-//! "after" is the shipping path. `--quick` (or `CRITERION_QUICK=1`) cuts
-//! the sample counts for CI smoke runs; pass an output path as the first
-//! non-flag argument to write somewhere other than `./BENCH_hotpaths.json`.
+//! "after" is the shipping path. `--quick` cuts the sample counts for CI
+//! smoke runs; pass an output path as the first non-flag argument to write
+//! somewhere other than `./BENCH_hotpaths.json`.
 //!
 //! `--check[=PATH]` additionally compares the measured speedups against a
 //! committed baseline (default `BENCH_hotpaths.json` in the working
@@ -26,7 +25,7 @@ use analog_netlist::{testcases, Circuit, Placement};
 use eplace::wirelength::{wa_wirelength, wa_wirelength_reference};
 use eplace::DensityGrid;
 use placer_bench::cli::CommonOpts;
-use placer_bench::{spiral_positions, synthetic_circuit};
+use placer_bench::{parse_speedups, spiral_positions, synthetic_circuit};
 use placer_gnn::{
     CircuitGraph, GradScratch, InferenceScratch, Network, TrainOptions, Trainer, TrainingSample,
 };
@@ -121,32 +120,6 @@ fn parse_scalar<'a>(json: &'a str, key: &str) -> Option<&'a str> {
     None
 }
 
-/// Extracts `(name, speedup)` pairs from a `BENCH_hotpaths.json` body.
-fn parse_speedups(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let Some(npos) = line.find("\"name\": \"") else {
-            continue;
-        };
-        let rest = &line[npos + 9..];
-        let Some(nend) = rest.find('"') else {
-            continue;
-        };
-        let name = rest[..nend].to_string();
-        let Some(spos) = line.find("\"speedup\": ") else {
-            continue;
-        };
-        let num: String = line[spos + 11..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        if let Ok(v) = num.parse::<f64>() {
-            out.push((name, v));
-        }
-    }
-    out
-}
-
 struct BenchRow {
     name: String,
     detail: String,
@@ -206,7 +179,7 @@ fn parse_args(
 fn main() {
     let t0 = Instant::now();
     let raw_args: Vec<String> = std::env::args().skip(1).collect();
-    let (mut quick, check_baseline, positional_out, common) = match parse_args(&raw_args) {
+    let (quick, check_baseline, positional_out, common) = match parse_args(&raw_args) {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!(
@@ -216,7 +189,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    quick = quick || std::env::var_os("CRITERION_QUICK").is_some_and(|v| v != "0");
     common.apply_threads();
     // `--out` and the historical positional spelling name the same file;
     // the flag wins when both are given.

@@ -34,10 +34,10 @@ use std::io::Read as _;
 use std::process::ExitCode;
 
 use placer_bench::cli::{parse_status, value, CommonOpts, COMMON_USAGE};
-use placer_jobs::json::parse_object;
 use placer_jobs::{parse_jobs, JobStatus};
 use placer_obs::ledger::{LedgerRecord, RunLedger};
 use placer_serve::{report_id, Client, ClientError};
+use placer_telemetry::json::{parse_object, Json};
 
 struct Options {
     specs_path: String,
@@ -121,7 +121,7 @@ fn report_status(line: &str) -> Option<JobStatus> {
     let pairs = parse_object(line).ok()?;
     let status = pairs.iter().find(|(k, _)| k == "status")?;
     match &status.1 {
-        placer_jobs::json::Json::Str(s) => JobStatus::parse(s),
+        Json::Str(s) => JobStatus::parse(s),
         _ => None,
     }
 }
@@ -131,7 +131,7 @@ fn stats_hit_rate(frame: &str) -> Option<f64> {
     let pairs = parse_object(frame).ok()?;
     let rate = pairs.iter().find(|(k, _)| k == "cache_hit_rate")?;
     match &rate.1 {
-        placer_jobs::json::Json::Num(v) => Some(100.0 * v),
+        Json::Num(v) => Some(100.0 * v),
         _ => None,
     }
 }

@@ -22,8 +22,8 @@
 
 use std::collections::BTreeMap;
 
-use placer_bench::print_row;
-use placer_bench::trace::{parse_flat_json, JsonValue};
+use placer_bench::{parse_speedups, print_row};
+use placer_telemetry::json::{parse_object, Json};
 
 struct Options {
     old: String,
@@ -94,10 +94,10 @@ fn parse_trace(path: &str, text: &str) -> Result<TraceStats, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let kv = parse_flat_json(line).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
+        let kv = parse_object(line).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
         let get = |key: &str| kv.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let get_num = |key: &str| get(key).and_then(JsonValue::as_num);
-        let get_str = |key: &str| get(key).and_then(JsonValue::as_str);
+        let get_num = |key: &str| get(key).and_then(Json::as_num);
+        let get_str = |key: &str| get(key).and_then(Json::as_str);
         match get_str("type") {
             Some("span") => {
                 let name = get_str("name").unwrap_or_default().to_string();
@@ -120,32 +120,6 @@ fn parse_trace(path: &str, text: &str) -> Result<TraceStats, String> {
         }
     }
     Ok(stats)
-}
-
-/// Extracts `(name, speedup)` pairs from a `BENCH_hotpaths.json` body.
-fn parse_speedups(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let Some(npos) = line.find("\"name\": \"") else {
-            continue;
-        };
-        let rest = &line[npos + 9..];
-        let Some(nend) = rest.find('"') else {
-            continue;
-        };
-        let name = rest[..nend].to_string();
-        let Some(spos) = line.find("\"speedup\": ") else {
-            continue;
-        };
-        let num: String = line[spos + 11..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        if let Ok(v) = num.parse::<f64>() {
-            out.push((name, v));
-        }
-    }
-    out
 }
 
 fn pct_delta(old: f64, new: f64) -> f64 {

@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use placer_bench::print_row;
-use placer_bench::trace::{parse_flat_json, JsonValue};
+use placer_telemetry::json::{parse_object, Json};
 
 /// Per-field aggregate over all events of one kind.
 #[derive(Debug, Clone, Copy)]
@@ -48,10 +48,10 @@ fn report(path: &str) -> Result<(), String> {
         if line.trim().is_empty() {
             continue;
         }
-        let kv = parse_flat_json(line).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
+        let kv = parse_object(line).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
         let get = |key: &str| kv.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let get_num = |key: &str| get(key).and_then(JsonValue::as_num);
-        let get_str = |key: &str| get(key).and_then(JsonValue::as_str).map(str::to_string);
+        let get_num = |key: &str| get(key).and_then(Json::as_num);
+        let get_str = |key: &str| get(key).and_then(Json::as_str).map(str::to_string);
         let Some(ty) = get_str("type") else {
             // Job/sweep report rows carry no `type` tag (the pre-sweep
             // protocol froze their shape): recognize them by id + status.
@@ -71,10 +71,10 @@ fn report(path: &str) -> Result<(), String> {
                     .filter(|(k, _)| k != "type")
                     .map(|(k, v)| {
                         let v = match v {
-                            JsonValue::Num(n) => format!("{n}"),
-                            JsonValue::Str(s) => s.clone(),
-                            JsonValue::Bool(b) => format!("{b}"),
-                            JsonValue::Null => "null".into(),
+                            Json::Num(n) => format!("{n}"),
+                            Json::Str(s) => s.clone(),
+                            Json::Bool(b) => format!("{b}"),
+                            Json::Null => "null".into(),
                         };
                         format!("{k}={v}")
                     })
@@ -151,10 +151,10 @@ fn report(path: &str) -> Result<(), String> {
                 for key in ["cmd", "git", "ts_ms", "wall_ms", "jobs", "variants"] {
                     if let Some(v) = get(key) {
                         let v = match v {
-                            JsonValue::Num(n) => format!("{n}"),
-                            JsonValue::Str(s) => s.clone(),
-                            JsonValue::Bool(b) => format!("{b}"),
-                            JsonValue::Null => "null".into(),
+                            Json::Num(n) => format!("{n}"),
+                            Json::Str(s) => s.clone(),
+                            Json::Bool(b) => format!("{b}"),
+                            Json::Null => "null".into(),
                         };
                         parts.push(format!("{key}={v}"));
                     }

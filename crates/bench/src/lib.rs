@@ -23,6 +23,7 @@ use eplace::{
 };
 use placer_gnn::{Network, TrainOptions};
 use placer_sa::{SaConfig, SaPlacer};
+use placer_telemetry::json::parse_object;
 use placer_xu19::Xu19Placer;
 
 /// One placer run reduced to the paper's reporting metrics.
@@ -326,6 +327,20 @@ pub fn print_row(cells: &[String], widths: &[usize]) {
     println!("{}", line.join("  "));
 }
 
+/// Extracts `(name, speedup)` pairs from a `BENCH_hotpaths.json` body.
+/// Each bench row sits on a line of its own as a flat object followed by a
+/// comma; every other line is skipped.
+pub fn parse_speedups(json: &str) -> Vec<(String, f64)> {
+    json.lines()
+        .filter_map(|line| parse_object(line.trim().trim_end_matches(',')).ok())
+        .filter_map(|row| {
+            let get = |key: &str| row.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+            let name = get("name")?.as_str()?.to_string();
+            Some((name, get("speedup")?.as_num()?))
+        })
+        .collect()
+}
+
 /// Convenience: the graph scale used in training for a circuit (re-exported
 /// for binaries that build graphs directly).
 pub fn model_scale(circuit: &Circuit) -> f64 {
@@ -335,6 +350,24 @@ pub fn model_scale(circuit: &Circuit) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn speedups_parse_from_bench_rows() {
+        let body = r#"{
+  "quick": false,
+  "benches": [
+    { "name": "wa_grad", "detail": "4096 devices", "before_ms": 0.9, "after_ms": 0.6, "speedup": 1.61 },
+    { "name": "sa_move/avx2", "detail": "x", "before_ms": 0.4, "after_ms": 0.3, "speedup": 1.66 }
+  ]
+}"#;
+        assert_eq!(
+            parse_speedups(body),
+            vec![
+                ("wa_grad".to_string(), 1.61),
+                ("sa_move/avx2".to_string(), 1.66)
+            ]
+        );
+    }
 
     #[test]
     fn geomean_of_equal_series_is_one() {

@@ -34,8 +34,12 @@
 #![forbid(unsafe_code)]
 
 mod engine;
-pub mod json;
 pub mod spec;
+
+// The codec lives in `placer_telemetry::json`; new code imports it from
+// there. This path stays because the end-to-end benchmark in `perfbench/`
+// imports `placer_jobs::json::{parse_object, Json}`.
+pub use placer_telemetry::json;
 
 pub use engine::{
     make_placer, make_placer_variant, make_placer_with, JobEngine, PlacerFactory, VariantOverrides,

@@ -13,7 +13,7 @@
 //! {"id": "ota-fast", "circuit": "cc_ota", "placer": "eplace-a", "status": "exhausted", ...}
 //! ```
 
-use crate::json::{escape, number, parse_object, Json};
+use placer_telemetry::json::{escape, number, parse_object, Json};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -606,7 +606,7 @@ mod tests {
             dirty_fraction: None,
             error: None,
         };
-        let kv = crate::json::parse_object(&r.to_line()).unwrap();
+        let kv = parse_object(&r.to_line()).unwrap();
         let get = |k: &str| kv.iter().find(|(key, _)| key == k).map(|(_, v)| v.clone());
         assert_eq!(get("status"), Some(Json::Str("exhausted".into())));
         assert_eq!(get("deadline_slack_ms"), Some(Json::Num(-2.5)));

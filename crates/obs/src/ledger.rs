@@ -17,8 +17,8 @@ use std::io::{self, Write as IoWrite};
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::json::{push_escaped, push_f64};
 use crate::metrics::MetricsSnapshot;
+use placer_telemetry::json::{push_escaped, push_f64};
 
 /// Where ledger records go unless overridden.
 pub const DEFAULT_LEDGER_PATH: &str = "results/ledger.jsonl";
@@ -172,7 +172,7 @@ impl LedgerRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{parse_flat_json, JsonValue};
+    use placer_telemetry::json::{parse_object, Json};
 
     fn temp_ledger(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("placer_ledger_{}_{name}.jsonl", std::process::id()))
@@ -197,8 +197,8 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         for line in lines {
-            let kv = parse_flat_json(line).unwrap();
-            assert_eq!(kv[0].1, JsonValue::Str("ledger".into()));
+            let kv = parse_object(line).unwrap();
+            assert_eq!(kv[0].1, Json::Str("ledger".into()));
             let get = |k: &str| kv.iter().find(|(key, _)| key == k).map(|(_, v)| v.clone());
             assert_eq!(get("schema").unwrap().as_num(), Some(LEDGER_SCHEMA as f64));
             assert_eq!(get("cmd").unwrap().as_str(), Some("jobs"));
@@ -234,7 +234,7 @@ mod tests {
         let mut record = LedgerRecord::new("sweep");
         record.metrics(&snap);
         let line = record.to_line();
-        let kv = parse_flat_json(&line).unwrap();
+        let kv = parse_object(&line).unwrap();
         assert!(kv
             .iter()
             .any(|(k, v)| k == "counter.jobs_completed" && v.as_num() == Some(7.0)));

@@ -18,8 +18,6 @@
 //! * [`ledger`] — [`ledger::RunLedger`]: an append-only JSONL manifest of
 //!   every jobs/sweep/bench invocation (git describe, ISA, wall time,
 //!   outcome counts, metrics snapshot), one atomic `write` per record.
-//! * [`json`] — the flat-JSON line parser shared by every tool that reads
-//!   trace, report, progress, or ledger files.
 //!
 //! Like the telemetry crate, the hot half has two personalities: with the
 //! `enabled` feature the progress pipeline is live; without it progress
@@ -31,7 +29,6 @@
 //! (bit-identity of observed vs unobserved runs), and the recording side of
 //! the progress pipeline is allocation-free and non-blocking after warm-up.
 
-pub mod json;
 pub mod ledger;
 pub mod metrics;
 pub mod progress;

@@ -13,8 +13,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use placer_jobs::json::{parse_object, Json};
 use placer_jobs::JobSpec;
+use placer_telemetry::json::{parse_object, Json};
 
 use crate::protocol::{
     bare_frame, hello_frame, is_report_line, submit_frame, sweep_frame, ErrorCode, ProtocolError,

@@ -2,7 +2,7 @@
 //!
 //! Everything on the socket is one flat JSON object per line, in both
 //! directions — the same JSONL dialect as job files, parsed by the same
-//! `placer_jobs::json` parser. Frames are discriminated by a `"type"`
+//! `placer_telemetry::json` codec. Frames are discriminated by a `"type"`
 //! key and versioned by the `"v"` field shared with
 //! [`placer_jobs::PROTOCOL_VERSION`]; unversioned frames are accepted as
 //! version 1 and future versions are answered with a structured
@@ -34,8 +34,8 @@
 //! the connection is closed, so a peer that never sends a newline cannot
 //! grow the server's memory.
 
-use placer_jobs::json::{escape, parse_object, Json};
 use placer_jobs::{check_protocol_version, spec_from_pairs, JobSpec, SpecError, PROTOCOL_VERSION};
+use placer_telemetry::json::{escape, parse_object, Json};
 
 /// Longest client frame, in bytes before its newline. Frames carry file
 /// paths and job fields, never netlists, so this is generous.

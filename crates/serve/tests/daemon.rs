@@ -392,7 +392,7 @@ fn streaming_without_telemetry_is_a_structured_error() {
 
 #[test]
 fn overlong_frames_are_refused_and_the_connection_closed() {
-    use placer_jobs::json::{parse_object, Json};
+    use placer_telemetry::json::{parse_object, Json};
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
 

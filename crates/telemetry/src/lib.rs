@@ -40,8 +40,14 @@
 //!   bucket 0 collects non-positive and non-finite samples.
 //! * `{"type":"manifest",...}` / `{"type":"phase",...}` — run metadata
 //!   written directly by the harness via [`manifest`] / [`emit_meta`].
+//!
+//! The [`json`] module holds the flat-JSON codec these lines are written
+//! with. Every other JSONL reader and writer in the workspace uses it too,
+//! so it is compiled in whether or not `enabled` is on.
 
 use std::sync::atomic::{AtomicU8, Ordering};
+
+pub mod json;
 
 /// A typed value for [`manifest`] / [`emit_meta`] metadata lines.
 ///

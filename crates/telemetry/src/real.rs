@@ -9,6 +9,7 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::json::{push_escaped, push_f64};
 use crate::Field;
 
 /// Maximum number of `(name, value)` pairs an event can carry; extra pairs
@@ -476,30 +477,6 @@ pub fn uninstall() {
     let mut guard = SINK.lock().unwrap();
     if let Some(mut sink) = guard.take() {
         let _ = sink.out.flush();
-    }
-}
-
-fn push_f64(line: &mut String, value: f64) {
-    if value.is_finite() {
-        let _ = write!(line, "{value}");
-    } else {
-        line.push_str("null");
-    }
-}
-
-fn push_escaped(line: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => line.push_str("\\\""),
-            '\\' => line.push_str("\\\\"),
-            '\n' => line.push_str("\\n"),
-            '\r' => line.push_str("\\r"),
-            '\t' => line.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(line, "\\u{:04x}", c as u32);
-            }
-            c => line.push(c),
-        }
     }
 }
 

@@ -50,7 +50,7 @@ fn with_sink<T>(name: &str, f: impl FnOnce() -> T) -> T {
     if placer_obs::progress_compiled() {
         let stream = std::fs::read_to_string(&progress_path).expect("read progress stream");
         for line in stream.lines() {
-            let kv = placer_obs::json::parse_flat_json(line)
+            let kv = placer_telemetry::json::parse_object(line)
                 .unwrap_or_else(|e| panic!("progress line {line:?}: {e}"));
             assert_eq!(
                 kv.iter()
